@@ -66,7 +66,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)]
+    #[allow(
+        clippy::assertions_on_constants,
+        reason = "pins a layout invariant between constants"
+    )]
     fn header_fits_in_a_slot() {
         assert!(MSG_HEADER_SIZE < DEF_MSG_SLOT_SIZE);
     }

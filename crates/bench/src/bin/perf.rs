@@ -23,7 +23,10 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-// m3lint: allow(determinism): this binary's whole purpose is host wall-clock measurement
+#[expect(
+    clippy::disallowed_types,
+    reason = "this binary's whole purpose is host wall-clock measurement"
+)]
 use std::time::Instant;
 
 use m3_bench::exec;
@@ -61,7 +64,10 @@ fn run_suite() -> (Vec<FigureRun>, f64) {
     for (name, run) in figure_suite() {
         exec::take_job_timings();
         let before = gauges::snapshot();
-        // m3lint: allow(determinism): host wall clock; simulated cycles are produced elsewhere
+        #[expect(
+            clippy::disallowed_types,
+            reason = "host wall clock; simulated cycles are produced elsewhere"
+        )]
         let start = Instant::now();
         let _table = run();
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;

@@ -27,7 +27,10 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-// m3lint: allow(determinism): host wall-clock measurement only; no simulated time derives from it
+#[expect(
+    clippy::disallowed_types,
+    reason = "host wall-clock measurement only; no simulated time derives from it"
+)]
 use std::time::Instant;
 
 /// One scenario measurement, boxed so figures can mix closures.
@@ -87,7 +90,6 @@ pub fn sim_workers() -> Option<usize> {
 
 /// Number of worker threads [`run_jobs`] would use for `jobs` scenarios.
 pub fn workers_for(jobs: usize) -> usize {
-    // m3lint: allow(determinism): threads carry whole independent Sims; nothing inside a Sim is shared
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -148,7 +150,10 @@ pub fn run_labeled_jobs<T: Send>(label: &str, jobs: Vec<Job<T>>) -> Vec<T> {
         let out: Vec<T> = jobs
             .into_iter()
             .map(|job| {
-                // m3lint: allow(determinism): host wall clock; feeds only BENCH_*.json
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "host wall clock; feeds only BENCH_*.json"
+                )]
                 let start = Instant::now();
                 let out = job();
                 ms.push(start.elapsed().as_secs_f64() * 1e3);
@@ -163,7 +168,10 @@ pub fn run_labeled_jobs<T: Send>(label: &str, jobs: Vec<Job<T>>) -> Vec<T> {
     let next = AtomicUsize::new(0);
     let jobs: Vec<Mutex<Option<Job<T>>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let results: Vec<Mutex<Option<(T, f64)>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // m3lint: allow(determinism): scenario-level parallelism; every Sim stays single-threaded inside
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "scenario-level parallelism; every Sim stays single-threaded inside"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..workers_for(n) {
             scope.spawn(|| loop {
@@ -177,7 +185,10 @@ pub fn run_labeled_jobs<T: Send>(label: &str, jobs: Vec<Job<T>>) -> Vec<T> {
                     .expect("job slot lock")
                     .take()
                     .expect("each job is claimed once");
-                // m3lint: allow(determinism): host wall clock; feeds only BENCH_*.json
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "host wall clock; feeds only BENCH_*.json"
+                )]
                 let start = Instant::now();
                 let out = job();
                 let ms = start.elapsed().as_secs_f64() * 1e3;
@@ -212,6 +223,7 @@ mod tests {
             .map(|i| -> Job<usize> {
                 Box::new(move || {
                     // Later jobs finish first if order were completion order.
+                    #[expect(clippy::disallowed_methods, reason = "host threads, no Sim involved")]
                     std::thread::sleep(std::time::Duration::from_micros(64 - i as u64));
                     i
                 })
@@ -280,6 +292,10 @@ mod tests {
                     Box::new(move || {
                         // Early jobs are the slow ones, so a longest-first
                         // second run claims them first.
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "host threads, no Sim involved"
+                        )]
                         std::thread::sleep(std::time::Duration::from_micros(if i < 2 {
                             500
                         } else {

@@ -237,7 +237,10 @@ pub fn run_point(pes: u32, shards: u32, workers: usize) -> Fig10Point {
     let builders: Vec<IslandBuilder> = (0..shards)
         .map(|i| island_builder(i, shards, per))
         .collect();
-    // m3lint: allow(determinism): host wall clock; simulated results are worker-count invariant
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host wall clock; simulated results are worker-count invariant"
+    )]
     let start = std::time::Instant::now();
     let report = pdes::run(&cfg, builders);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;

@@ -178,7 +178,10 @@ pub fn run(islands: u32, workers: usize) -> PdesBenchRun {
         workers,
     };
     let builders: Vec<IslandBuilder> = (0..islands).map(|i| island_builder(i, islands)).collect();
-    // m3lint: allow(determinism): host wall clock; simulated results are worker-count invariant
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host wall clock; simulated results are worker-count invariant"
+    )]
     let start = std::time::Instant::now();
     let report = pdes::run(&cfg, builders);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;

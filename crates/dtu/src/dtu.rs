@@ -1702,7 +1702,10 @@ impl KernelToken {
     /// # Errors
     ///
     /// [`Code::NoPerm`] if this DTU has been downgraded.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "test instrumentation: one tuple per EP; a named type would serve only this accessor"
+    )]
     pub fn snapshot(&self, target: PeId) -> Result<Vec<(EpConfig, Option<RingBuf>, Option<u32>)>> {
         self.dtu.require_privileged()?;
         let pes = self.dtu.sys.inner.pes.borrow();

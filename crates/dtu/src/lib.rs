@@ -24,6 +24,10 @@
 //!
 //! See [`Dtu`] for a complete send/receive/reply round trip.
 
+// Fallible paths return m3_base::error::Error; a panic here would take the
+// whole simulated system down (clippy.toml exempts test code).
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 mod dtu;
 mod endpoint;
 mod message;

@@ -139,8 +139,11 @@ impl FsCore {
     /// # Panics
     ///
     /// Panics if the inode does not exist (internal invariant).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` accessor; callers pass inos returned by resolve()/create paths"
+    )]
     pub fn inode_mut(&mut self, ino: u64) -> &mut Inode {
-        // m3lint: allow(no-unwrap): documented `# Panics` accessor; callers pass inos returned by resolve()/create paths
         self.inodes.get_mut(&ino).expect("dangling inode")
     }
 
@@ -324,7 +327,10 @@ impl FsCore {
         let mut to_free = inode.blocks() - needed_blocks;
         let mut freed = Vec::new();
         while to_free > 0 {
-            // m3lint: allow(no-unwrap): to_free > 0 implies the inode still owns blocks, and blocks live in extents by construction
+            #[expect(
+                clippy::expect_used,
+                reason = "to_free > 0 implies the inode still owns blocks, and blocks live in extents by construction"
+            )]
             let last = inode.extents.last_mut().expect("blocks imply extents");
             let cut = to_free.min(last.blocks);
             last.blocks -= cut;

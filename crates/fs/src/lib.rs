@@ -21,6 +21,10 @@
 //! in-memory as well, so no metadata block I/O is being skipped that the
 //! evaluation would measure.
 
+// Fallible paths return m3_base::error::Error; a panic here would take the
+// whole simulated system down (clippy.toml exempts test code).
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 mod bitmap;
 mod check;
 mod client;

@@ -208,10 +208,13 @@ impl Kernel {
         let owned: Vec<PeId> = (0..platform.pe_count())
             .map(|i| PeId::new(i as u32))
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "boot-time; the documented panic for a platform without DRAM"
+        )]
         let dram = platform
             .dtu_system()
             .memory(platform.dram_pe())
-            // m3lint: allow(no-unwrap): boot-time; the documented panic for a platform without DRAM
             .expect("dram")
             .borrow()
             .len() as u64;
@@ -241,12 +244,19 @@ impl Kernel {
         );
         let sim = platform.sim().clone();
         let dtu = platform.dtu(kernel_pe);
+        #[expect(
+            clippy::expect_used,
+            reason = "boot-time; every DTU is privileged until this kernel downgrades it below"
+        )]
         let ktok = dtu
             .claim_kernel_token()
-            // m3lint: allow(no-unwrap): boot-time; every DTU is privileged until this kernel downgrades it below
             .expect("kernel DTU is privileged at boot");
 
         // Configure the kernel's own endpoints (it is privileged at boot).
+        #[expect(
+            clippy::expect_used,
+            reason = "boot-time; the kernel is privileged and its own EP ids are compile-time constants"
+        )]
         ktok.configure(
             kernel_pe,
             keps::SYSC,
@@ -256,8 +266,11 @@ impl Kernel {
                 allow_replies: true,
             },
         )
-        // m3lint: allow(no-unwrap): boot-time; the kernel is privileged and its own EP ids are compile-time constants
         .expect("kernel syscall EP");
+        #[expect(
+            clippy::expect_used,
+            reason = "boot-time; same argument as the syscall EP"
+        )]
         ktok.configure(
             kernel_pe,
             keps::SERV_REPLY,
@@ -267,14 +280,16 @@ impl Kernel {
                 allow_replies: false,
             },
         )
-        // m3lint: allow(no-unwrap): boot-time; same argument as the syscall EP.
         .expect("kernel service-reply EP");
 
         // NoC-level isolation: downgrade every application PE this kernel
         // owns (paper §3). Other partitions' PEs are left alone.
         for pe in owned {
             if *pe != kernel_pe {
-                // m3lint: allow(no-unwrap): boot-time; the booting kernel is still privileged, so the downgrade cannot be refused
+                #[expect(
+                    clippy::expect_used,
+                    reason = "boot-time; the booting kernel is still privileged, so the downgrade cannot be refused"
+                )]
                 ktok.set_privileged(*pe, false).expect("downgrade");
             }
         }
@@ -1596,7 +1611,10 @@ impl Kernel {
     /// the swap slot back in (page-in) or hands it out zeroed — then maps
     /// it and records the fault. Factored out of [`Kernel::sys_page_fault`]
     /// so every error path can free the frame in one place.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the fault context is passed through unchanged from sys_page_fault"
+    )]
     async fn fill_frame(
         &self,
         caller: VpeId,
@@ -2444,7 +2462,10 @@ impl Kernel {
     /// `RemoteVpe` proxy plus the child-SPM memory gate — the same two
     /// capabilities a local `CreateVpe` yields, so the caller's session
     /// keeps working transparently.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "mirrors the CreateVpe syscall arguments plus the shard context"
+    )]
     async fn create_vpe_remote(
         &self,
         ctx: &Rc<ShardCtx>,

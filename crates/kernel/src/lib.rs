@@ -21,6 +21,10 @@
 //!   (§7: multiple kernel instances as the scalability path),
 //! - [`Kernel`] — boot, the syscall dispatch loop, and service forwarding.
 
+// Fallible paths return m3_base::error::Error; a panic here would take the
+// whole simulated system down (clippy.toml exempts test code).
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod cap;
 pub mod costs;
 mod kernel;

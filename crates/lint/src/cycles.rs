@@ -33,54 +33,29 @@ const CHARGE_IDENTS: &[&str] = &[
 
 /// Runs the rule over the file.
 pub fn check(tree: &Tree, class: &FileClass, push: &mut impl FnMut(&'static str, usize, String)) {
-    if !matches!(class.krate.as_str(), "dtu" | "noc" | "sched") || class.is_harness() {
+    if !matches!(class.krate.as_str(), "dtu" | "noc" | "sched") || class.is_harness {
         return;
     }
-    let funcs: Vec<(usize, Vec<String>)> = tree
-        .functions
-        .iter()
-        .map(|f| (0, body_idents(tree, f)))
-        .collect();
-    let names: Vec<&str> = tree.functions.iter().map(|f| f.name.as_str()).collect();
+    let bodies: Vec<Vec<&str>> = tree.functions.iter().map(|f| tree.body_idents(f)).collect();
 
-    // Fixpoint: a fn charges if its own name is a primitive, its body names
-    // a primitive, or its body names a same-file fn that charges.
-    let mut charges: Vec<bool> = tree
+    // A fn charges if its own name is a primitive, its body names a
+    // primitive, or its body names a same-file fn that charges.
+    let direct = tree
         .functions
         .iter()
-        .zip(&funcs)
-        .map(|(f, (_, idents))| {
+        .zip(&bodies)
+        .map(|(f, idents)| {
             CHARGE_IDENTS.contains(&f.name.as_str())
-                || idents.iter().any(|id| CHARGE_IDENTS.contains(&id.as_str()))
+                || idents.iter().any(|id| CHARGE_IDENTS.contains(id))
         })
         .collect();
-    loop {
-        let mut changed = false;
-        for (i, (_, idents)) in funcs.iter().enumerate() {
-            if charges[i] {
-                continue;
-            }
-            let reaches = idents.iter().any(|id| {
-                names
-                    .iter()
-                    .enumerate()
-                    .any(|(j, n)| *n == id && charges[j] && j != i)
-            });
-            if reaches {
-                charges[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let charges = tree.reach_through_calls(&bodies, direct, |_| false);
 
     for (i, f) in tree.functions.iter().enumerate() {
         if !f.is_pub || f.in_test || f.body.is_none() || charges[i] {
             continue;
         }
-        if !mutates(tree, f, &funcs[i].1) {
+        if !mutates(tree, f, &bodies[i]) {
             continue;
         }
         push(
@@ -97,30 +72,17 @@ pub fn check(tree: &Tree, class: &FileClass, push: &mut impl FnMut(&'static str,
     }
 }
 
-/// All identifier texts in a fn's body.
-fn body_idents(tree: &Tree, f: &Function) -> Vec<String> {
-    let Some((open, close)) = f.body else {
-        return Vec::new();
-    };
-    (open..=close.min(tree.code.len().saturating_sub(1)))
-        .filter(|&i| tree.code[i].kind == Kind::Ident)
-        .map(|i| tree.text(i).to_string())
-        .collect()
-}
-
 /// Whether the fn writes state: a `&mut self` receiver or a `borrow_mut`
 /// call in the body.
-fn mutates(tree: &Tree, f: &Function, idents: &[String]) -> bool {
-    if idents.iter().any(|id| id == "borrow_mut") {
+fn mutates(tree: &Tree, f: &Function, idents: &[&str]) -> bool {
+    if idents.contains(&"borrow_mut") {
         return true;
     }
-    // Look for `& [lifetime] mut self` in the signature (between the fn
-    // name and the body).
+    // Look for `& [lifetime] mut self` in the signature: the tokens from
+    // the signature line up to the body.
     let Some((open, _)) = f.body else {
         return false;
     };
-    // Find the fn's parameter list start: scan backwards from the body for
-    // the signature span. Simpler: scan the whole span from sig start.
     let sig_start = tree
         .code
         .iter()

@@ -52,7 +52,7 @@ const GATED_MUTATORS: &[&str] = &[
 
 /// Runs the rule over the file.
 pub fn check(tree: &Tree, class: &FileClass, push: &mut impl FnMut(&'static str, usize, String)) {
-    if class.is_harness() || matches!(class.krate.as_str(), "kernel" | "lint") {
+    if class.is_harness || matches!(class.krate.as_str(), "kernel" | "lint") {
         return;
     }
     if class.krate == "dtu" {
@@ -84,12 +84,9 @@ pub fn check(tree: &Tree, class: &FileClass, push: &mut impl FnMut(&'static str,
         if !f.is_pub || f.in_test {
             continue;
         }
-        let Some((open, close)) = f.body else {
-            continue;
-        };
-        let used = (open..=close.min(tree.code.len().saturating_sub(1)))
-            .filter(|&i| tree.code[i].kind == Kind::Ident)
-            .map(|i| tree.text(i))
+        let used = tree
+            .body_idents(f)
+            .into_iter()
             .find(|t| GATED_IDENTS.contains(t));
         if let Some(used) = used {
             push(
@@ -108,54 +105,18 @@ pub fn check(tree: &Tree, class: &FileClass, push: &mut impl FnMut(&'static str,
 /// Inside `crates/dtu`: a pub fn off `impl KernelToken` must not reach a
 /// gated mutator through same-file calls.
 fn check_dtu_backdoors(tree: &Tree, push: &mut impl FnMut(&'static str, usize, String)) {
-    let body_idents: Vec<Vec<String>> = tree
-        .functions
-        .iter()
-        .map(|f| match f.body {
-            Some((open, close)) => (open..=close.min(tree.code.len().saturating_sub(1)))
-                .filter(|&i| tree.code[i].kind == Kind::Ident)
-                .map(|i| tree.text(i).to_string())
-                .collect(),
-            None => Vec::new(),
-        })
-        .collect();
-
+    let bodies: Vec<Vec<&str>> = tree.functions.iter().map(|f| tree.body_idents(f)).collect();
     let is_token_fn = |idx: usize| -> bool {
         let f = &tree.functions[idx];
         f.impl_of.as_deref() == Some("KernelToken") || f.name == "claim_kernel_token"
     };
 
-    // Fixpoint over non-token fns: reaches a mutator directly or via a
-    // same-file non-token fn that does.
-    let mut reaches: Vec<bool> = (0..tree.functions.len())
-        .map(|i| {
-            !is_token_fn(i)
-                && body_idents[i]
-                    .iter()
-                    .any(|id| GATED_MUTATORS.contains(&id.as_str()))
-        })
+    // A non-token fn reaches a mutator directly or via a same-file
+    // non-token fn that does.
+    let direct = (0..tree.functions.len())
+        .map(|i| !is_token_fn(i) && bodies[i].iter().any(|id| GATED_MUTATORS.contains(id)))
         .collect();
-    loop {
-        let mut changed = false;
-        for i in 0..tree.functions.len() {
-            if reaches[i] || is_token_fn(i) {
-                continue;
-            }
-            let hit = body_idents[i].iter().any(|id| {
-                tree.functions
-                    .iter()
-                    .enumerate()
-                    .any(|(j, g)| g.name == *id && reaches[j] && !is_token_fn(j))
-            });
-            if hit {
-                reaches[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let reaches = tree.reach_through_calls(&bodies, direct, is_token_fn);
 
     for (i, f) in tree.functions.iter().enumerate() {
         if !f.is_pub || f.in_test || is_token_fn(i) || !reaches[i] {

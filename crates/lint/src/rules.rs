@@ -1,21 +1,16 @@
 //! The repo-specific rule set and the per-file checking engine.
 //!
-//! Seven rule families (DESIGN.md "Static analysis & invariants" and §5g):
+//! The rules clippy cannot express (DESIGN.md "Static analysis &
+//! invariants" and §5g; determinism, no-unwrap and borrow-across-await are
+//! clippy's, configured in `clippy.toml` and crate attributes):
 //!
-//! - **determinism** — simulation code must be bit-for-bit reproducible
-//!   (DESIGN.md §4.1), so nondeterministically ordered collections, wall
-//!   clocks, OS threads, and seeded-from-entropy RNGs are banned.
 //! - **cost-citation** — every numeric constant in a cost/timing module must
 //!   cite the paper section it was taken from (§4.2).
-//! - **no-unwrap** — kernel, DTU, and filesystem code has a real error type
-//!   (`m3_base::error::Error`); panicking on fallible paths is banned.
 //! - **isolation** — the kernel-only DTU configuration surface (the
 //!   `KernelToken`-gated setters) may only be *reached* from `crates/kernel`
 //!   and test code, mirroring the paper's §4.4 isolation argument. Checked
 //!   as a use-graph: naming a gated setter, wrapping one in a `pub` fn, or
 //!   (inside `crates/dtu`) exposing a non-token path to one all count.
-//! - **borrow-across-await** — a `RefCell` borrow guard must not be live
-//!   across an `.await` point; see [`crate::borrow`].
 //! - **cycle-accounting** — `pub` fns in dtu/noc/sched that write
 //!   architectural state must reach a cycle-charging call; see
 //!   [`crate::cycles`].
@@ -29,7 +24,7 @@ use std::path::Path;
 
 use crate::lexer::{lex, Kind, Token};
 use crate::tree::Tree;
-use crate::{borrow, cycles, isolation};
+use crate::{cycles, isolation};
 
 /// A single rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,64 +50,16 @@ impl std::fmt::Display for Finding {
 }
 
 /// Rule identifiers, as accepted by `// m3lint: allow(<rule>): <why>`.
-pub const RULES: &[&str] = &[
-    "determinism",
-    "cost-citation",
-    "no-unwrap",
-    "isolation",
-    "borrow-across-await",
-    "cycle-accounting",
-];
-
-/// Crates whose code runs inside the simulation and must be deterministic.
-const SIM_CRATES: &[&str] = &[
-    "sim", "noc", "dtu", "platform", "kernel", "libos", "fs", "lx", "apps", "bench", "core",
-    "trace", "fault", "sched", "serve", "vm",
-];
-
-/// Crates where `unwrap()`/`expect()` are banned outside test code.
-const NO_UNWRAP_CRATES: &[&str] = &["kernel", "dtu", "fs"];
-
-/// Identifiers whose mere appearance violates the determinism rule.
-const NONDETERMINISTIC_IDENTS: &[(&str, &str)] = &[
-    (
-        "HashMap",
-        "use BTreeMap (sorted, deterministic iteration) instead",
-    ),
-    (
-        "HashSet",
-        "use BTreeSet (sorted, deterministic iteration) instead",
-    ),
-    (
-        "Instant",
-        "use simulated time (Sim::now) instead of the wall clock",
-    ),
-    (
-        "SystemTime",
-        "use simulated time (Sim::now) instead of the wall clock",
-    ),
-    ("thread_rng", "use the seeded m3_base::rand::Rng instead"),
-];
+pub const RULES: &[&str] = &["cost-citation", "isolation", "cycle-accounting"];
 
 /// How a path is classified for rule scoping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileClass {
     /// The crate the file belongs to (`"repro"` for the workspace root).
     pub krate: String,
-    /// Under a `tests/` directory (integration tests).
-    pub in_tests_dir: bool,
-    /// Under a `benches/` directory.
-    pub in_benches_dir: bool,
-    /// Under an `examples/` directory.
-    pub in_examples_dir: bool,
-}
-
-impl FileClass {
-    /// Whether the file is any kind of sanctioned harness code (integration
-    /// tests, benches, examples) rather than simulation source.
-    pub fn is_harness(&self) -> bool {
-        self.in_tests_dir || self.in_benches_dir || self.in_examples_dir
-    }
+    /// Sanctioned harness code (under `tests/`, `benches/` or `examples/`)
+    /// rather than simulation source.
+    pub is_harness: bool,
 }
 
 /// Classifies a repo-relative path like `crates/dtu/src/dtu.rs`.
@@ -125,9 +72,9 @@ pub fn classify(path: &Path) -> FileClass {
     };
     FileClass {
         krate,
-        in_tests_dir: comps.contains(&"tests"),
-        in_benches_dir: comps.contains(&"benches"),
-        in_examples_dir: comps.contains(&"examples"),
+        is_harness: comps
+            .iter()
+            .any(|c| matches!(*c, "tests" | "benches" | "examples")),
     }
 }
 
@@ -246,84 +193,12 @@ pub fn check_file(path: &Path, source: &str) -> Vec<Finding> {
         }
     };
 
-    let sim_scope = SIM_CRATES.contains(&class.krate.as_str()) || class.krate == "repro";
-    // Determinism: simulation crates' src/ and benches/ (benches feed the
-    // figures, which must be host-independent). Test code may use hashed
-    // collections for oracles.
-    let determinism_applies = sim_scope && !class.in_tests_dir && !class.in_examples_dir;
-    // Robustness: kernel/dtu/fs src only; tests, benches, examples exempt.
-    let no_unwrap_applies = NO_UNWRAP_CRATES.contains(&class.krate.as_str()) && !class.is_harness();
-    // Cost accounting: any cost/timing module in a simulation crate.
+    // Cost accounting: every cost/timing module holds model constants.
     let file_name = path.file_name().and_then(|f| f.to_str()).unwrap_or("");
-    let costs_applies = sim_scope && matches!(file_name, "costs.rs" | "timing.rs");
-    // The PDES coordinator is the one sanctioned `std::thread` user in the
-    // simulation crates: it runs whole islands on worker threads while the
-    // conservative window protocol keeps simulated time deterministic
-    // (DESIGN.md §5i). Everywhere else in sim scope OS threads stay banned.
-    let pdes_coordinator = class.krate == "sim" && file_name == "pdes.rs";
-
-    for (i, tok) in tree.code.iter().enumerate() {
-        if tree.test_mask[i] || tok.kind != Kind::Ident {
-            continue;
-        }
-        let text = tok.text(source);
-
-        if determinism_applies {
-            for (bad, fix) in NONDETERMINISTIC_IDENTS {
-                if text == *bad {
-                    push(
-                        "determinism",
-                        tok.line,
-                        format!("`{bad}` is nondeterministic in simulation code: {fix}"),
-                    );
-                }
-            }
-            // `thread::spawn` / `std::thread`: a path of identifiers, so
-            // check the token sequence, not a substring.
-            let path_seq = |a: &str, b: &str| {
-                text == a
-                    && tree.code.len() > i + 3
-                    && tree.is_punct(i + 1, ':')
-                    && tree.is_punct(i + 2, ':')
-                    && tree.is_ident(i + 3, b)
-            };
-            if (path_seq("thread", "spawn") || path_seq("std", "thread")) && !pdes_coordinator {
-                push(
-                    "determinism",
-                    tok.line,
-                    "OS threads break deterministic scheduling: use Sim::spawn tasks \
-                     (std::thread is confined to the PDES coordinator, \
-                     crates/sim/src/pdes.rs)"
-                        .to_string(),
-                );
-            }
-        }
-
-        if no_unwrap_applies
-            && (text == "unwrap" || text == "expect")
-            && i > 0
-            && tree.is_punct(i - 1, '.')
-            && i + 1 < tree.code.len()
-            && tree.code[i + 1].kind == Kind::OpenParen
-        {
-            push(
-                "no-unwrap",
-                tok.line,
-                format!(
-                    "`.{text}()` in {} code panics on fallible paths: \
-                     return m3_base::error::Error instead",
-                    class.krate
-                ),
-            );
-        }
-    }
-
-    if costs_applies {
+    if matches!(file_name, "costs.rs" | "timing.rs") {
         check_cost_citations(&tree, &mut push);
     }
-
     isolation::check(&tree, &class, &mut push);
-    borrow::check(&tree, &class, &mut push);
     cycles::check(&tree, &class, &mut push);
 
     findings.sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
@@ -428,138 +303,41 @@ mod tests {
         findings.iter().map(|f| f.rule).collect()
     }
 
-    // ---------------- determinism ----------------
+    /// A user-level crate, where naming the kernel surface is a finding.
+    const USER: &str = "crates/libos/src/gate.rs";
+
+    // ---------------- token-level matching ----------------
 
     #[test]
-    fn determinism_flags_hashmap_in_sim_crate() {
+    fn rules_ignore_strings_and_comments() {
         let f = check(
-            "crates/sim/src/executor.rs",
-            "use std::collections::HashMap;\n",
-        );
-        assert_eq!(rules_of(&f), vec!["determinism"]);
-        assert!(f[0].message.contains("BTreeMap"));
-    }
-
-    #[test]
-    fn determinism_flags_instant_and_systemtime() {
-        let f = check(
-            "crates/bench/benches/figures.rs",
-            "let t = Instant::now();\nlet s = SystemTime::now();\n",
-        );
-        assert_eq!(rules_of(&f), vec!["determinism", "determinism"]);
-    }
-
-    #[test]
-    fn determinism_flags_thread_spawn_and_thread_rng() {
-        let f = check(
-            "crates/noc/src/network.rs",
-            "std::thread::spawn(|| {});\nlet r = rand::thread_rng();\n",
-        );
-        assert!(rules_of(&f).contains(&"determinism"));
-        assert!(f.len() >= 2);
-    }
-
-    #[test]
-    fn thread_is_confined_to_the_pdes_coordinator() {
-        let src = "pub fn f() { std::thread::scope(|s| { let _ = s; }); }\n";
-        // The coordinator module itself is sanctioned...
-        assert!(rules_of(&check("crates/sim/src/pdes.rs", src)).is_empty());
-        // ...but nowhere else in the sim crates, including the rest of
-        // crates/sim and a pdes.rs that lives in another crate.
-        assert_eq!(
-            rules_of(&check("crates/sim/src/executor.rs", src)),
-            vec!["determinism"]
-        );
-        assert_eq!(
-            rules_of(&check("crates/noc/src/pdes.rs", src)),
-            vec!["determinism"]
-        );
-    }
-
-    #[test]
-    fn determinism_ignores_strings_and_comments() {
-        let f = check(
-            "crates/sim/src/lib.rs",
-            "// HashMap would be wrong here\nlet s = \"HashMap\"; /* Instant */\n",
+            USER,
+            "// KernelToken would be wrong here\nlet s = \"KernelToken\"; /* set_privileged */\n",
         );
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
-    fn determinism_ignores_raw_strings_and_byte_chars() {
+    fn rules_ignore_raw_strings_and_byte_chars() {
         // Lexer edge cases: a raw string with a `#`-count mismatch inside,
         // and byte-char literals, must not leak identifiers into the rules.
-        let src = "let a = r##\"HashMap \"# Instant\"##;\nlet b = b'H'; let c = b'\\n';\n";
-        let f = check("crates/sim/src/lib.rs", src);
+        let src =
+            "let a = r##\"KernelToken \"# refill_credits\"##;\nlet b = b'K'; let c = b'\\n';\n";
+        let f = check(USER, src);
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
-    fn determinism_ignores_nested_block_comments() {
-        let src = "/* outer /* HashMap inner */ SystemTime still comment */ fn f() {}\n";
-        let f = check("crates/sim/src/lib.rs", src);
+    fn rules_ignore_nested_block_comments() {
+        let src = "/* outer /* KernelToken inner */ set_privileged still comment */ fn f() {}\n";
+        let f = check(USER, src);
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
-    fn determinism_skips_test_modules() {
-        let src = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
-        assert!(check("crates/fs/src/fs.rs", src).is_empty());
-    }
-
-    #[test]
-    fn determinism_not_applied_outside_sim_crates() {
-        let f = check(
-            "crates/lint/src/rules.rs",
-            "use std::collections::HashMap;\n",
-        );
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn btreemap_is_fine() {
-        let f = check(
-            "crates/sim/src/executor.rs",
-            "use std::collections::BTreeMap;\n",
-        );
-        assert!(f.is_empty());
-    }
-
-    // ---------------- no-unwrap ----------------
-
-    #[test]
-    fn no_unwrap_flags_kernel_dtu_fs() {
-        for krate in ["kernel", "dtu", "fs"] {
-            let f = check(&format!("crates/{krate}/src/x.rs"), "let v = y.unwrap();\n");
-            assert_eq!(rules_of(&f), vec!["no-unwrap"], "{krate}");
-        }
-    }
-
-    #[test]
-    fn no_unwrap_flags_expect() {
-        let f = check("crates/kernel/src/kernel.rs", "y.expect(\"boom\");\n");
-        assert_eq!(rules_of(&f), vec!["no-unwrap"]);
-    }
-
-    #[test]
-    fn no_unwrap_allows_unwrap_or_and_err_variants() {
-        let src = "a.unwrap_or(0); b.unwrap_or_else(f); c.unwrap_err(); d.unwrap_or_default(); e.expect_err(\"x\");\n";
-        assert!(check("crates/kernel/src/kernel.rs", src).is_empty());
-    }
-
-    #[test]
-    fn no_unwrap_skips_tests_and_other_crates() {
-        let src = "let v = y.unwrap();\n";
-        assert!(check("crates/kernel/tests/t.rs", src).is_empty());
-        assert!(check("crates/libos/src/gate.rs", src).is_empty());
-        let test_mod = "#[cfg(test)]\nmod tests {\n    fn t() { y.unwrap(); }\n}\n";
-        assert!(check("crates/dtu/src/dtu.rs", test_mod).is_empty());
-    }
-
-    #[test]
-    fn no_unwrap_ignores_doc_examples() {
-        let src = "/// ```\n/// x.unwrap();\n/// ```\npub fn f() {}\n";
-        assert!(check("crates/dtu/src/dtu.rs", src).is_empty());
+    fn rules_skip_test_modules() {
+        let src = "#[cfg(test)]\nmod tests {\n    use m3_dtu::KernelToken;\n}\n";
+        assert!(check(USER, src).is_empty());
     }
 
     // ---------------- cost-citation ----------------
@@ -584,13 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_citation_applies_to_timing_modules() {
-        let src = "pub const DELIVER: u64 = 3;\n";
-        let f = check("crates/dtu/src/timing.rs", src);
-        assert_eq!(rules_of(&f), vec!["cost-citation"]);
-    }
-
-    #[test]
     fn cost_citation_ignores_non_numeric_consts() {
         let src = "pub const NAME: &str = \"m3\";\npub const ALIAS: u64 = OTHER;\n";
         assert!(check("crates/kernel/src/costs.rs", src).is_empty());
@@ -605,41 +376,12 @@ mod tests {
     }
 
     #[test]
-    fn sched_crate_is_in_simulation_scope() {
-        // The scheduler orders run queues: hashed iteration there would
-        // change which VPE a vacant PE claims, so determinism applies...
-        let f = check(
-            "crates/sched/src/lib.rs",
-            "use std::collections::HashMap;\n",
-        );
-        assert_eq!(rules_of(&f), vec!["determinism"]);
-        // ...and its switch costs are model constants needing citations.
-        let src = "pub const CTX_SAVE_FIXED: u64 = 80;\n";
-        let f = check("crates/sched/src/costs.rs", src);
-        assert_eq!(rules_of(&f), vec!["cost-citation"]);
-    }
-
-    #[test]
     fn cost_citation_only_in_cost_modules() {
         let src = "pub const SLOTS: usize = 8;\n";
         assert!(check("crates/kernel/src/kernel.rs", src).is_empty());
     }
 
     // ---------------- isolation ----------------
-
-    #[test]
-    fn isolation_flags_kernel_surface_outside_kernel() {
-        for ident in [
-            "KernelToken",
-            "claim_kernel_token",
-            "set_privileged",
-            "refill_credits",
-        ] {
-            let src = format!("use m3_dtu::{ident};\n");
-            let f = check("crates/libos/src/gate.rs", &src);
-            assert_eq!(rules_of(&f), vec!["isolation"], "{ident}");
-        }
-    }
 
     #[test]
     fn isolation_allows_kernel_dtu_and_tests() {
@@ -650,89 +392,13 @@ mod tests {
         assert!(check("crates/bench/benches/micro.rs", src).is_empty());
     }
 
-    // ---------------- suppressions ----------------
-
-    #[test]
-    fn trailing_suppression_with_justification() {
-        let src = "let m = HashMap::new(); // m3lint: allow(determinism): oracle only, order never observed\n";
-        assert!(check("crates/sim/src/executor.rs", src).is_empty());
-    }
-
-    #[test]
-    fn standalone_suppression_covers_next_line() {
-        let src = "// m3lint: allow(no-unwrap): infallible by construction, len checked above\nlet v = y.unwrap();\n";
-        assert!(check("crates/kernel/src/kernel.rs", src).is_empty());
-    }
-
-    #[test]
-    fn suppression_without_justification_is_rejected() {
-        let src = "let m = HashMap::new(); // m3lint: allow(determinism)\n";
-        let f = check("crates/sim/src/executor.rs", src);
-        let rules = rules_of(&f);
-        assert!(rules.contains(&"suppression"), "{f:?}");
-        assert!(
-            rules.contains(&"determinism"),
-            "unjustified suppression must not suppress"
-        );
-    }
-
-    #[test]
-    fn suppression_with_empty_justification_is_rejected() {
-        let src = "let m = HashMap::new(); // m3lint: allow(determinism):   \n";
-        let f = check("crates/sim/src/executor.rs", src);
-        assert!(rules_of(&f).contains(&"suppression"));
-    }
-
-    #[test]
-    fn suppression_of_unknown_rule_is_rejected() {
-        let src = "// m3lint: allow(nonsense): because\nlet x = 1;\n";
-        let f = check("crates/sim/src/executor.rs", src);
-        assert_eq!(rules_of(&f), vec!["suppression"]);
-    }
-
-    #[test]
-    fn suppression_only_covers_named_rule() {
-        let src = "let m = HashMap::new(); let v = y.unwrap(); // m3lint: allow(determinism): oracle map\n";
-        let f = check("crates/kernel/src/kernel.rs", src);
-        assert_eq!(rules_of(&f), vec!["no-unwrap"]);
-    }
-
-    #[test]
-    fn suppression_covers_multiple_rules() {
-        let src = "let m = HashMap::new(); let v = y.unwrap(); // m3lint: allow(determinism, no-unwrap): test harness shim\n";
-        assert!(check("crates/kernel/src/kernel.rs", src).is_empty());
-    }
-
-    #[test]
-    fn doc_comment_does_not_suppress() {
-        let src =
-            "/// m3lint: allow(determinism): prose, not a suppression\nlet m = HashMap::new();\n";
-        let f = check("crates/sim/src/executor.rs", src);
-        assert_eq!(rules_of(&f), vec!["determinism"]);
-    }
-
-    #[test]
-    fn block_comment_suppression_works() {
-        let src =
-            "let m = HashMap::new(); /* m3lint: allow(determinism): oracle, order unused */\n";
-        assert!(check("crates/sim/src/executor.rs", src).is_empty());
-    }
-
-    #[test]
-    fn new_rules_are_suppressible_by_name() {
-        for rule in ["borrow-across-await", "cycle-accounting"] {
-            assert!(RULES.contains(&rule));
-        }
-    }
+    // ---------------- reporting ----------------
 
     #[test]
     fn finding_display_format() {
-        let f = check(
-            "crates/sim/src/executor.rs",
-            "use std::collections::HashMap;\n",
-        );
+        let f = check(USER, "use m3_dtu::KernelToken;\n");
         let s = f[0].to_string();
-        assert!(s.contains("crates/sim/src/executor.rs:1:"));
-        assert!(s.contains("[determinism]"));
+        assert!(s.contains("crates/libos/src/gate.rs:1:"));
+        assert!(s.contains("[isolation]"));
     }
 }

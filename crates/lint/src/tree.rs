@@ -3,8 +3,8 @@
 //! Built on the token stream from [`crate::lexer`], this module recovers
 //! just enough structure for per-function dataflow:
 //!
-//! - every `fn` with its name, visibility, `async`-ness, enclosing `impl`
-//!   type, and the token span of its body;
+//! - every `fn` with its name, visibility, enclosing `impl` type, and the
+//!   token span of its body;
 //! - which tokens sit inside `#[cfg(test)]`-gated items or `#[test]` fns;
 //! - a per-line summary (code present? comment text?) that the suppression
 //!   and cost-citation passes read.
@@ -27,8 +27,6 @@ pub struct Function {
     pub sig_line: usize,
     /// `pub`, `pub(crate)`, … — any visibility beyond private.
     pub is_pub: bool,
-    /// Declared `async`.
-    pub is_async: bool,
     /// Inside `#[cfg(test)]` code or itself a `#[test]`.
     pub in_test: bool,
     /// The `impl` type the method belongs to, if any.
@@ -113,6 +111,49 @@ impl<'s> Tree<'s> {
         self.code[i].text(self.src)
     }
 
+    /// The identifiers in `f`'s body, in source order.
+    pub fn body_idents(&self, f: &Function) -> Vec<&'s str> {
+        let Some((open, close)) = f.body else {
+            return Vec::new();
+        };
+        (open..=close.min(self.code.len().saturating_sub(1)))
+            .filter(|&i| self.code[i].kind == Kind::Ident)
+            .map(|i| self.text(i))
+            .collect()
+    }
+
+    /// Closes `marked` over same-file calls, to a fixpoint: function `i`
+    /// becomes marked when it is not `blocked` and its body (`bodies[i]`,
+    /// from [`Tree::body_idents`]) names a marked function.
+    pub fn reach_through_calls(
+        &self,
+        bodies: &[Vec<&str>],
+        mut marked: Vec<bool>,
+        blocked: impl Fn(usize) -> bool,
+    ) -> Vec<bool> {
+        loop {
+            let mut changed = false;
+            for i in 0..self.functions.len() {
+                if marked[i] || blocked(i) {
+                    continue;
+                }
+                let calls_marked = bodies[i].iter().any(|id| {
+                    self.functions
+                        .iter()
+                        .zip(&marked)
+                        .any(|(g, &m)| m && g.name == *id)
+                });
+                if calls_marked {
+                    marked[i] = true;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return marked;
+            }
+        }
+    }
+
     /// Whether code token `i` is the identifier `name`.
     pub fn is_ident(&self, i: usize, name: &str) -> bool {
         self.code[i].kind == Kind::Ident && self.text(i) == name
@@ -157,7 +198,6 @@ struct Scope {
 struct Pending {
     test_attr: bool,
     is_pub: bool,
-    is_async: bool,
 }
 
 struct Walker<'t, 's> {
@@ -205,10 +245,6 @@ impl Walker<'_, '_> {
                             i = self.tree.matching(i, end) + 1;
                         }
                     }
-                    "async" => {
-                        pending.is_async = true;
-                        i += 1;
-                    }
                     "fn" => {
                         i = self.item_fn(i, end, scope, pending);
                         pending = Pending::default();
@@ -226,7 +262,7 @@ impl Walker<'_, '_> {
                         i = self.item_braced(i, end, scope, pending, None);
                         pending = Pending::default();
                     }
-                    "unsafe" | "const" | "extern" | "default" => {
+                    "async" | "unsafe" | "const" | "extern" | "default" => {
                         // Possible fn qualifiers; keep pending modifiers.
                         i += 1;
                     }
@@ -249,12 +285,8 @@ impl Walker<'_, '_> {
                     i = close + 1;
                 }
                 Kind::Punct if self.tree.text(i) == ";" => {
-                    // `#[cfg(test)] use ...;` style: gate the tokens the
-                    // attribute covered. (The mask was not set while
-                    // scanning; re-marking a semicolon-terminated span is
-                    // only needed for ident rules, which re-check lines —
-                    // mark conservatively from here backwards is fragile,
-                    // so instead the attribute marks forward: see below.)
+                    // Statement boundary: modifiers do not carry over.
+                    // (`#[cfg(test)] use ...;` is gated forward, below.)
                     i += 1;
                     pending = Pending::default();
                 }
@@ -379,7 +411,6 @@ impl Walker<'_, '_> {
             name,
             sig_line,
             is_pub: pending.is_pub,
-            is_async: pending.is_async,
             in_test,
             impl_of: scope.impl_of.clone(),
             body,
@@ -525,10 +556,10 @@ mod tests {
         let t = tree(src);
         assert_eq!(t.functions.len(), 2);
         assert_eq!(t.functions[0].name, "go");
-        assert!(t.functions[0].is_pub && t.functions[0].is_async);
+        assert!(t.functions[0].is_pub);
         assert_eq!(t.functions[0].sig_line, 1);
         assert_eq!(t.functions[1].name, "helper");
-        assert!(!t.functions[1].is_pub && !t.functions[1].is_async);
+        assert!(!t.functions[1].is_pub);
     }
 
     #[test]

@@ -102,7 +102,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)]
+    #[allow(
+        clippy::assertions_on_constants,
+        reason = "pins a layout invariant between constants"
+    )]
     fn address_regions_do_not_overlap() {
         assert!(FILE_MEM_BASE + 64 * FILE_MEM_STRIDE <= USER_MEM_BASE);
         assert!(USER_MEM_BASE + 64 * USER_MEM_STRIDE <= PIPE_MEM_BASE);

@@ -452,6 +452,10 @@ fn worker(
 /// Panics when every island is blocked with regular tasks still live and
 /// no event in flight (the distributed analogue of `SimState::Stalled`),
 /// or when an island violates the lookahead contract.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the PDES coordinator is the one sanctioned std::thread user: worker threads change which core runs an island, never what it observes"
+)]
 pub fn run(cfg: &PdesConfig, builders: Vec<IslandBuilder>) -> PdesReport {
     assert!(
         cfg.lookahead >= Cycles::new(1),

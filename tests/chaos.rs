@@ -423,17 +423,17 @@ fn zero_fault_plan_reproduces_golden_figure_totals() {
     }
 }
 
-/// Regression for the borrow-across-await triage (m3-lint v2).
+/// Regression for the borrow-across-await triage (clippy's
+/// `await_holding_refcell_ref` now guards these sites statically).
 ///
-/// The lint's first workspace run flagged five candidate sites where a
-/// `RefCell` guard *looked* live across an `.await` — the kernel's
+/// The first workspace-wide borrow check flagged five candidate sites
+/// where a `RefCell` guard *looked* live across an `.await` — the kernel's
 /// service-retry reply slots, the `sched_acquire`/`sched_yield` scheduler
 /// scopes, and the lx pipe predicate closures. Triage verified each one
-/// scopes its guard before awaiting (and the walker was tightened to model
-/// those scopes exactly). A guard that *did* survive to an await would not
-/// fail deterministically: it panics with "already borrowed" only on an
-/// interleaving where another task touches the same cell during the
-/// suspension.
+/// scopes its guard before awaiting. A guard that *did* survive to an
+/// await would not fail deterministically: it panics with "already
+/// borrowed" only on an interleaving where another task touches the same
+/// cell during the suspension.
 ///
 /// This test arranges the densest such interleaving the system produces:
 /// four VPEs overcommitted onto one PE, all hammering the kernel's shared
