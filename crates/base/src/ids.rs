@@ -5,6 +5,9 @@
 
 use std::fmt;
 
+use crate::error::Result;
+use crate::marshal::{IStream, OStream, Wire};
+
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident, $prefix:literal) => {
         $(#[$meta])*
@@ -43,6 +46,16 @@ macro_rules! id_type {
         impl From<u32> for $name {
             fn from(raw: u32) -> Self {
                 Self(raw)
+            }
+        }
+
+        impl Wire for $name {
+            fn put(&self, os: &mut OStream) {
+                os.push_u32(self.0);
+            }
+
+            fn take(is: &mut IStream<'_>) -> Result<Self> {
+                is.pop_u32().map(Self)
             }
         }
     };

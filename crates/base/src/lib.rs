@@ -8,8 +8,8 @@
 //! - [`ids`] — strongly-typed identifiers for PEs, VPEs, endpoints, …
 //! - [`error::Error`] — the M3 error codes,
 //! - [`perm::Perm`] — read/write/execute permission sets,
-//! - [`marshal`] — the message (un)marshalling streams used by all
-//!   DTU-message based protocols (syscalls, m3fs, pipes),
+//! - [`marshal`] — the message (un)marshalling streams, the [`marshal::Wire`]
+//!   codec and the [`wire!`] macro that declares every DTU message type,
 //! - [`cfg`](mod@cfg) — platform constants (SPM sizes, endpoint counts, …).
 //!
 //! # Examples

@@ -4,8 +4,9 @@
 //! directory trees) must be *reproducible* across runs so that cycle counts
 //! are stable. This is a SplitMix64 generator: tiny, fast, and with
 //! well-understood statistical quality — more than enough for workload
-//! generation. (The external `rand` crate is used where distributions are
-//! needed; this one keeps the low-level crates dependency-free.)
+//! generation. It is the workspace's only random source: the workspace has
+//! no third-party dependencies, so uniform ranges and floats come from the
+//! methods below.
 
 /// A deterministic SplitMix64 pseudo-random number generator.
 ///

@@ -10,13 +10,14 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use m3_base::error::{Code, Error, Result};
-use m3_base::marshal::IStream;
 use m3_base::Cycles;
+use m3_kernel::protocol::SyscallReply;
 use m3_libos::vfs::{DirEntry, File, FileInfo, FileSystem, MapExtent, OpenFlags, SeekMode};
 use m3_libos::{BoxFuture, ClientSession, Env, MemGate, SendGate};
 
 use crate::proto::{
-    LocateArgs, LocateReply, MetaReply, MetaRequest, NO_TRUNCATE, OBTAIN_META_GATE,
+    FsckReply, LocateArgs, LocateReply, MetaRequest, Obtain, OpenReply, ReadDirReply, StatReply,
+    NO_TRUNCATE,
 };
 
 /// Local bookkeeping cost of a seek (most seeks stay within the already
@@ -79,7 +80,7 @@ impl M3FsFileSystem {
     /// Fails if the service is unavailable.
     pub async fn connect_named(env: &Env, name: &str) -> Result<M3FsFileSystem> {
         let session = ClientSession::connect(env, name, 0).await?;
-        let (sels, _) = session.obtain(1, &[OBTAIN_META_GATE]).await?;
+        let (sels, _) = session.obtain(1, &Obtain::MetaGate.to_bytes()).await?;
         let sgate = SendGate::bind(env, sels[0]);
         Ok(M3FsFileSystem {
             inner: Rc::new(FsInner { session, sgate }),
@@ -89,7 +90,7 @@ impl M3FsFileSystem {
     async fn meta(&self, env: &Env, req: MetaRequest) -> Result<Vec<u8>> {
         env.compute(m3_libos::costs::RPC_PREP).await;
         let msg = self.inner.sgate.call(&req.to_bytes()).await?;
-        MetaReply::parse(&msg.payload)
+        SyscallReply::from_bytes(&msg.payload)?.into_result()
     }
 
     /// Runs a consistency check on the service side; returns
@@ -100,8 +101,8 @@ impl M3FsFileSystem {
     /// Propagates transport errors.
     pub async fn fsck(&self, env: &Env) -> Result<(u32, u64, u64)> {
         let data = self.meta(env, MetaRequest::Fsck).await?;
-        let mut is = IStream::new(&data);
-        Ok((is.pop_u32()?, is.pop_u64()?, is.pop_u64()?))
+        let r = FsckReply::from_bytes(&data)?;
+        Ok((r.errors, r.inodes, r.used_blocks))
     }
 
     /// Opens a file with an explicit append-allocation hint in blocks
@@ -127,16 +128,13 @@ impl M3FsFileSystem {
                 },
             )
             .await?;
-        let mut is = IStream::new(&data);
-        let fd = is.pop_u64()?;
-        let size = is.pop_u64()?;
-        let _extents = is.pop_u32()?;
+        let opened = OpenReply::from_bytes(&data)?;
         Ok(RegularFile {
             fs: self.inner.clone(),
             env: env.clone(),
-            fd,
+            fd: opened.fd,
             pos: 0,
-            size,
+            size: opened.size,
             readable: flags.readable(),
             writable: flags.writable(),
             alloc_hint,
@@ -207,7 +205,11 @@ impl RegularFile {
             write,
             want_blocks: self.alloc_hint,
         };
-        let (sels, reply) = self.fs.session.obtain(1, &args.to_bytes()).await?;
+        let (sels, reply) = self
+            .fs
+            .session
+            .obtain(1, &Obtain::Locate(args).to_bytes())
+            .await?;
         let info = LocateReply::from_bytes(&reply)?;
         self.cached = Some(CachedExtent {
             mem: MemGate::bind(&self.env, sels[0]),
@@ -340,7 +342,7 @@ impl RegularFile {
             .sgate
             .call(&MetaRequest::Close { fd: self.fd, size }.to_bytes())
             .await?;
-        MetaReply::parse(&msg.payload)?;
+        SyscallReply::from_bytes(&msg.payload)?.into_result()?;
         Ok(())
     }
 }
@@ -391,12 +393,12 @@ impl FileSystem for M3FsFileSystem {
                     },
                 )
                 .await?;
-            let mut is = IStream::new(&data);
+            let r = StatReply::from_bytes(&data)?;
             Ok(FileInfo {
-                size: is.pop_u64()?,
-                is_dir: is.pop_bool()?,
-                extents: is.pop_u32()?,
-                links: is.pop_u32()?,
+                size: r.size,
+                is_dir: r.is_dir,
+                extents: r.extents,
+                links: r.links,
             })
         })
     }
@@ -473,19 +475,15 @@ impl FileSystem for M3FsFileSystem {
                         },
                     )
                     .await?;
-                let mut is = IStream::new(&data);
-                let n = is.pop_u32()?;
-                for _ in 0..n {
-                    entries.push(DirEntry {
-                        name: is.pop_str()?,
-                        is_dir: is.pop_bool()?,
-                    });
-                }
-                let done = is.pop_bool()?;
-                if done {
+                let page = ReadDirReply::from_bytes(&data)?;
+                start += page.entries.len() as u32;
+                entries.extend(page.entries.into_iter().map(|e| DirEntry {
+                    name: e.name,
+                    is_dir: e.is_dir,
+                }));
+                if page.done {
                     return Ok(entries);
                 }
-                start += n;
             }
         })
     }

@@ -1,364 +1,187 @@
-//! The m3fs wire protocol: meta-channel requests and locate arguments.
+//! The m3fs wire protocol: meta-channel requests, their reply payloads and
+//! the session-obtain arguments.
 //!
 //! Meta operations travel over a send gate the client obtains from the
 //! session; data *locations* are exchanged as memory capabilities through
 //! session obtains (§4.5.8).
 
-use m3_base::error::{Code, Error, Result};
-use m3_base::marshal::{IStream, OStream};
-
-/// Tag of a session obtain that requests the meta-channel send gate.
-pub const OBTAIN_META_GATE: u8 = 0;
-
-/// Tag of a session obtain that requests a file-fragment capability.
-pub const OBTAIN_LOCATE: u8 = 1;
+use m3_base::wire;
 
 /// Sentinel for "close without truncating".
 pub const NO_TRUNCATE: u64 = u64::MAX;
 
-/// A metadata request to m3fs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MetaRequest {
-    /// Open (and possibly create/truncate) a file.
-    Open {
-        /// Absolute path within the filesystem.
-        path: String,
-        /// `m3_libos::vfs::OpenFlags` bits.
-        flags: u32,
-    },
-    /// Close an open file, truncating it to `size` bytes (§4.5.8) unless
-    /// `size` is [`NO_TRUNCATE`].
-    Close {
+/// Maximum directory entries per ReadDir reply page.
+pub const READDIR_PAGE: usize = 16;
+
+wire! {
+    /// A metadata request to m3fs. The reply is a
+    /// [`SyscallReply`](m3_kernel::protocol::SyscallReply) whose data is
+    /// the request's reply payload below, or empty.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum MetaRequest: u8 {
+        /// Open (and possibly create/truncate) a file; replies with an
+        /// [`OpenReply`].
+        Open = 0 {
+            /// Absolute path within the filesystem.
+            path: String,
+            /// `m3_libos::vfs::OpenFlags` bits.
+            flags: u32,
+        },
+        /// Close an open file, truncating it to `size` bytes (§4.5.8)
+        /// unless `size` is [`NO_TRUNCATE`].
+        Close = 1 {
+            /// The open-file handle.
+            fd: u64,
+            /// Final file size.
+            size: u64,
+        },
+        /// Stat a path; replies with a [`StatReply`].
+        Stat = 2 {
+            /// Absolute path.
+            path: String,
+        },
+        /// Create a directory.
+        Mkdir = 3 {
+            /// Absolute path.
+            path: String,
+        },
+        /// Remove an empty directory.
+        Rmdir = 4 {
+            /// Absolute path.
+            path: String,
+        },
+        /// Remove a file name.
+        Unlink = 5 {
+            /// Absolute path.
+            path: String,
+        },
+        /// Create a hard link.
+        Link = 6 {
+            /// Existing file.
+            old: String,
+            /// New name.
+            new: String,
+        },
+        /// List a directory, starting at entry index `start` (paged);
+        /// replies with a [`ReadDirReply`].
+        ReadDir = 7 {
+            /// Absolute path.
+            path: String,
+            /// First entry index to return.
+            start: u32,
+        },
+        /// Run a consistency check; replies with an [`FsckReply`].
+        Fsck = 8,
+    }
+}
+
+wire! {
+    /// Reply payload of [`MetaRequest::Open`].
+    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+    pub struct OpenReply {
         /// The open-file handle.
-        fd: u64,
-        /// Final file size.
-        size: u64,
-    },
-    /// Stat a path.
-    Stat {
-        /// Absolute path.
-        path: String,
-    },
-    /// Create a directory.
-    Mkdir {
-        /// Absolute path.
-        path: String,
-    },
-    /// Remove an empty directory.
-    Rmdir {
-        /// Absolute path.
-        path: String,
-    },
-    /// Remove a file name.
-    Unlink {
-        /// Absolute path.
-        path: String,
-    },
-    /// Create a hard link.
-    Link {
-        /// Existing file.
-        old: String,
-        /// New name.
-        new: String,
-    },
-    /// List a directory, starting at entry index `start` (paged).
-    ReadDir {
-        /// Absolute path.
-        path: String,
-        /// First entry index to return.
-        start: u32,
-    },
-    /// Run a consistency check; the reply carries (errors, inodes,
-    /// used blocks).
-    Fsck,
-}
-
-impl MetaRequest {
-    /// The request name, for tracing and diagnostics.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MetaRequest::Open { .. } => "Open",
-            MetaRequest::Close { .. } => "Close",
-            MetaRequest::Stat { .. } => "Stat",
-            MetaRequest::Mkdir { .. } => "Mkdir",
-            MetaRequest::Rmdir { .. } => "Rmdir",
-            MetaRequest::Unlink { .. } => "Unlink",
-            MetaRequest::Link { .. } => "Link",
-            MetaRequest::ReadDir { .. } => "ReadDir",
-            MetaRequest::Fsck => "Fsck",
-        }
-    }
-
-    /// Marshals the request.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut os = OStream::with_capacity(64);
-        match self {
-            MetaRequest::Open { path, flags } => {
-                os.push_u8(0).push_str(path).push_u32(*flags);
-            }
-            MetaRequest::Close { fd, size } => {
-                os.push_u8(1).push_u64(*fd).push_u64(*size);
-            }
-            MetaRequest::Stat { path } => {
-                os.push_u8(2).push_str(path);
-            }
-            MetaRequest::Mkdir { path } => {
-                os.push_u8(3).push_str(path);
-            }
-            MetaRequest::Rmdir { path } => {
-                os.push_u8(4).push_str(path);
-            }
-            MetaRequest::Unlink { path } => {
-                os.push_u8(5).push_str(path);
-            }
-            MetaRequest::Link { old, new } => {
-                os.push_u8(6).push_str(old).push_str(new);
-            }
-            MetaRequest::ReadDir { path, start } => {
-                os.push_u8(7).push_str(path).push_u32(*start);
-            }
-            MetaRequest::Fsck => {
-                os.push_u8(8);
-            }
-        }
-        os.into_bytes()
-    }
-
-    /// Unmarshals a request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Code::BadMessage`] on malformed bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<MetaRequest> {
-        let mut is = IStream::new(bytes);
-        let req = match is.pop_u8()? {
-            0 => MetaRequest::Open {
-                path: is.pop_str()?,
-                flags: is.pop_u32()?,
-            },
-            1 => MetaRequest::Close {
-                fd: is.pop_u64()?,
-                size: is.pop_u64()?,
-            },
-            2 => MetaRequest::Stat {
-                path: is.pop_str()?,
-            },
-            3 => MetaRequest::Mkdir {
-                path: is.pop_str()?,
-            },
-            4 => MetaRequest::Rmdir {
-                path: is.pop_str()?,
-            },
-            5 => MetaRequest::Unlink {
-                path: is.pop_str()?,
-            },
-            6 => MetaRequest::Link {
-                old: is.pop_str()?,
-                new: is.pop_str()?,
-            },
-            7 => MetaRequest::ReadDir {
-                path: is.pop_str()?,
-                start: is.pop_u32()?,
-            },
-            8 => MetaRequest::Fsck,
-            _ => return Err(Error::new(Code::BadMessage).with_msg("unknown meta request")),
-        };
-        Ok(req)
+        pub fd: u64,
+        /// Current file size in bytes.
+        pub size: u64,
+        /// Number of extents the file occupies.
+        pub extents: u32,
     }
 }
 
-/// A metadata reply: error code plus request-specific payload bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MetaReply {
-    /// `None` = success.
-    pub error: Option<Code>,
-    /// Request-specific payload.
-    pub data: Vec<u8>,
-}
-
-impl MetaReply {
-    /// Success without payload.
-    pub fn ok() -> MetaReply {
-        MetaReply {
-            error: None,
-            data: Vec::new(),
-        }
-    }
-
-    /// Success with payload.
-    pub fn ok_with(data: Vec<u8>) -> MetaReply {
-        MetaReply { error: None, data }
-    }
-
-    /// Failure.
-    pub fn err(code: Code) -> MetaReply {
-        MetaReply {
-            error: Some(code),
-            data: Vec::new(),
-        }
-    }
-
-    /// Marshals the reply.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut os = OStream::with_capacity(16 + self.data.len());
-        os.push_u32(self.error.map_or(0, |c| c.as_raw()));
-        os.push_bytes(&self.data);
-        os.into_bytes()
-    }
-
-    /// Unmarshals a reply and converts it into a result over its payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns the carried error, or [`Code::BadMessage`] on malformed
-    /// bytes.
-    pub fn parse(bytes: &[u8]) -> Result<Vec<u8>> {
-        let mut is = IStream::new(bytes);
-        let raw = is.pop_u32()?;
-        let data = is.pop_bytes()?.to_vec();
-        if raw == 0 {
-            Ok(data)
-        } else {
-            Err(Error::new(Code::from_raw(raw)))
-        }
+wire! {
+    /// Reply payload of [`MetaRequest::Stat`].
+    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+    pub struct StatReply {
+        /// File size in bytes.
+        pub size: u64,
+        /// Whether the path names a directory.
+        pub is_dir: bool,
+        /// Number of extents.
+        pub extents: u32,
+        /// Hard-link count.
+        pub links: u32,
     }
 }
 
-/// Arguments of a locate obtain: which fragment of which file.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct LocateArgs {
-    /// The open-file handle.
-    pub fd: u64,
-    /// Byte offset the caller wants to access.
-    pub offset: u64,
-    /// Whether the access is a write (may extend the file).
-    pub write: bool,
-    /// For writes at EOF: how many blocks to allocate at once (0 = the
-    /// filesystem default of 256, §5.5).
-    pub want_blocks: u64,
-}
-
-impl LocateArgs {
-    /// Marshals the arguments (prefixed with [`OBTAIN_LOCATE`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut os = OStream::with_capacity(32);
-        os.push_u8(OBTAIN_LOCATE)
-            .push_u64(self.fd)
-            .push_u64(self.offset)
-            .push_bool(self.write)
-            .push_u64(self.want_blocks);
-        os.into_bytes()
-    }
-
-    /// Unmarshals the arguments (after the tag byte).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Code::BadMessage`] on malformed bytes.
-    pub fn from_stream(is: &mut IStream<'_>) -> Result<LocateArgs> {
-        Ok(LocateArgs {
-            fd: is.pop_u64()?,
-            offset: is.pop_u64()?,
-            write: is.pop_bool()?,
-            want_blocks: is.pop_u64()?,
-        })
+wire! {
+    /// Reply payload of [`MetaRequest::Fsck`].
+    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+    pub struct FsckReply {
+        /// Number of inconsistencies found.
+        pub errors: u32,
+        /// Inodes in use.
+        pub inodes: u64,
+        /// Blocks in use.
+        pub used_blocks: u64,
     }
 }
 
-/// Reply payload of a locate obtain.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct LocateReply {
-    /// File offset the granted fragment starts at.
-    pub ext_file_off: u64,
-    /// Length of the granted fragment in bytes.
-    pub ext_bytes: u64,
+wire! {
+    /// One directory entry of a [`ReadDirReply`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ReadDirEntry {
+        /// Entry name.
+        pub name: String,
+        /// Whether the entry is a directory.
+        pub is_dir: bool,
+    }
 }
 
-impl LocateReply {
-    /// Marshals the reply payload.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut os = OStream::with_capacity(16);
-        os.push_u64(self.ext_file_off).push_u64(self.ext_bytes);
-        os.into_bytes()
+wire! {
+    /// Reply payload of [`MetaRequest::ReadDir`]: one page of entries.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ReadDirReply {
+        /// At most [`READDIR_PAGE`] entries from the requested start.
+        pub entries: Vec<ReadDirEntry> [max READDIR_PAGE],
+        /// Whether this page reaches the end of the directory.
+        pub done: bool,
     }
+}
 
-    /// Unmarshals the reply payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Code::BadMessage`] on malformed bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<LocateReply> {
-        let mut is = IStream::new(bytes);
-        Ok(LocateReply {
-            ext_file_off: is.pop_u64()?,
-            ext_bytes: is.pop_u64()?,
-        })
+wire! {
+    /// Arguments of a locate obtain: which fragment of which file.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+    pub struct LocateArgs {
+        /// The open-file handle.
+        pub fd: u64,
+        /// Byte offset the caller wants to access.
+        pub offset: u64,
+        /// Whether the access is a write (may extend the file).
+        pub write: bool,
+        /// For writes at EOF: how many blocks to allocate at once (0 = the
+        /// filesystem default of 256, §5.5).
+        pub want_blocks: u64,
+    }
+}
+
+wire! {
+    /// The argument bytes of a session obtain: what the client asks m3fs
+    /// to hand out.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+    pub enum Obtain: u8 {
+        /// The meta-channel send gate.
+        MetaGate = 0,
+        /// A memory capability for a file fragment; the obtain's reply
+        /// bytes are a [`LocateReply`].
+        Locate = 1(args: LocateArgs),
+    }
+}
+
+wire! {
+    /// Reply payload of a locate obtain.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+    pub struct LocateReply {
+        /// File offset the granted fragment starts at.
+        pub ext_file_off: u64,
+        /// Length of the granted fragment in bytes.
+        pub ext_bytes: u64,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn meta_requests_roundtrip() {
-        for req in [
-            MetaRequest::Open {
-                path: "/a/b".into(),
-                flags: 3,
-            },
-            MetaRequest::Close { fd: 7, size: 4096 },
-            MetaRequest::Stat { path: "/x".into() },
-            MetaRequest::Mkdir { path: "/d".into() },
-            MetaRequest::Rmdir { path: "/d".into() },
-            MetaRequest::Unlink { path: "/f".into() },
-            MetaRequest::Link {
-                old: "/f".into(),
-                new: "/g".into(),
-            },
-            MetaRequest::ReadDir {
-                path: "/d".into(),
-                start: 16,
-            },
-            MetaRequest::Fsck,
-        ] {
-            assert_eq!(MetaRequest::from_bytes(&req.to_bytes()).unwrap(), req);
-        }
-    }
-
-    #[test]
-    fn meta_reply_roundtrip() {
-        assert_eq!(
-            MetaReply::parse(&MetaReply::ok_with(vec![1, 2]).to_bytes()).unwrap(),
-            vec![1, 2]
-        );
-        assert_eq!(
-            MetaReply::parse(&MetaReply::err(Code::NoSuchFile).to_bytes())
-                .unwrap_err()
-                .code(),
-            Code::NoSuchFile
-        );
-    }
-
-    #[test]
-    fn locate_roundtrip() {
-        let args = LocateArgs {
-            fd: 3,
-            offset: 1 << 20,
-            write: true,
-            want_blocks: 256,
-        };
-        let bytes = args.to_bytes();
-        let mut is = IStream::new(&bytes);
-        assert_eq!(is.pop_u8().unwrap(), OBTAIN_LOCATE);
-        assert_eq!(LocateArgs::from_stream(&mut is).unwrap(), args);
-
-        let reply = LocateReply {
-            ext_file_off: 0,
-            ext_bytes: 256 * 1024,
-        };
-        assert_eq!(LocateReply::from_bytes(&reply.to_bytes()).unwrap(), reply);
-    }
+    use m3_base::error::Code;
 
     #[test]
     fn bad_tag_rejected() {

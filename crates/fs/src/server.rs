@@ -11,16 +11,16 @@ use std::rc::Rc;
 
 use m3_base::cfg::{FS_ALLOC_BLOCKS, FS_BLOCK_SIZE};
 use m3_base::error::{Code, Error, Result};
-use m3_base::marshal::{IStream, OStream};
 use m3_base::{Cycles, Perm, SelId};
-use m3_kernel::protocol::Syscall;
+use m3_kernel::protocol::{Syscall, SyscallReply};
 use m3_libos::serv::{self, Handler};
 use m3_libos::{Env, MemGate, RecvGate};
 use m3_sim::{Component, Event, EventKind};
 
 use crate::fs::FsCore;
 use crate::proto::{
-    LocateArgs, LocateReply, MetaReply, MetaRequest, NO_TRUNCATE, OBTAIN_LOCATE, OBTAIN_META_GATE,
+    FsckReply, LocateReply, MetaRequest, Obtain, OpenReply, ReadDirEntry, ReadDirReply, StatReply,
+    NO_TRUNCATE, READDIR_PAGE,
 };
 
 /// Service-side cycle charges (see `EXPERIMENTS.md` for calibration).
@@ -59,9 +59,6 @@ mod fscosts {
     /// Directory listing per-entry cost.
     pub const READDIR_PER_ENTRY: Cycles = Cycles::new(10);
 }
-
-/// Maximum directory entries per ReadDir reply page.
-pub const READDIR_PAGE: usize = 16;
 
 /// What to pre-populate the filesystem with at boot.
 #[derive(Clone, Debug)]
@@ -245,7 +242,7 @@ async fn meta_loop(env: Env, state: Rc<RefCell<State>>, _mem: Rc<MemGate>, rgate
         let ident = msg.header.label;
         env.compute(m3_libos::costs::SERV_DISPATCH).await;
         let (reply, cost, op) = match MetaRequest::from_bytes(&msg.payload) {
-            Err(e) => (MetaReply::err(e.code()), Cycles::ZERO, "BadMessage"),
+            Err(e) => (SyscallReply::err(e.code()), Cycles::ZERO, "BadMessage"),
             Ok(req) => {
                 let op = req.name();
                 let (reply, cost) = handle_meta(&state, ident, req);
@@ -269,7 +266,7 @@ fn lookup_cost(path: &str) -> Cycles {
     fscosts::LOOKUP_PER_COMP * FsCore::path_depth(path).max(1)
 }
 
-fn handle_meta(state: &Rc<RefCell<State>>, ident: u64, req: MetaRequest) -> (MetaReply, Cycles) {
+fn handle_meta(state: &Rc<RefCell<State>>, ident: u64, req: MetaRequest) -> (SyscallReply, Cycles) {
     let mut st = state.borrow_mut();
     let st = &mut *st;
     match req {
@@ -304,11 +301,12 @@ fn handle_meta(state: &Rc<RefCell<State>>, ident: u64, req: MetaRequest) -> (Met
                     },
                 );
                 let inode = st.core.inode(ino);
-                let mut os = OStream::with_capacity(24);
-                os.push_u64(fd)
-                    .push_u64(inode.size)
-                    .push_u32(inode.extents.len() as u32);
-                Ok(os.into_bytes())
+                Ok(OpenReply {
+                    fd,
+                    size: inode.size,
+                    extents: inode.extents.len() as u32,
+                }
+                .to_bytes())
             })();
             (reply_of(result), cost)
         }
@@ -337,12 +335,13 @@ fn handle_meta(state: &Rc<RefCell<State>>, ident: u64, req: MetaRequest) -> (Met
             let cost = fscosts::STAT + lookup_cost(&path);
             let result = st.core.resolve(&path).map(|ino| {
                 let inode = st.core.inode(ino);
-                let mut os = OStream::with_capacity(24);
-                os.push_u64(inode.size)
-                    .push_bool(inode.is_dir())
-                    .push_u32(inode.extents.len() as u32)
-                    .push_u32(inode.links);
-                os.into_bytes()
+                StatReply {
+                    size: inode.size,
+                    is_dir: inode.is_dir(),
+                    extents: inode.extents.len() as u32,
+                    links: inode.links,
+                }
+                .to_bytes()
             });
             (reply_of(result), cost)
         }
@@ -365,11 +364,12 @@ fn handle_meta(state: &Rc<RefCell<State>>, ident: u64, req: MetaRequest) -> (Met
         MetaRequest::Fsck => {
             let report = st.core.check();
             let cost = Cycles::new(60) * report.inodes.max(1);
-            let mut os = OStream::with_capacity(24);
-            os.push_u32(report.errors.len() as u32)
-                .push_u64(report.inodes)
-                .push_u64(report.used_blocks);
-            (MetaReply::ok_with(os.into_bytes()), cost)
+            let reply = FsckReply {
+                errors: report.errors.len() as u32,
+                inodes: report.inodes,
+                used_blocks: report.used_blocks,
+            };
+            (SyscallReply::ok_with(reply.to_bytes()), cost)
         }
         MetaRequest::ReadDir { path, start } => {
             let result = st.core.read_dir(&path).map(|entries| {
@@ -377,15 +377,17 @@ fn handle_meta(state: &Rc<RefCell<State>>, ident: u64, req: MetaRequest) -> (Met
                     .iter()
                     .skip(start as usize)
                     .take(READDIR_PAGE)
+                    .map(|(name, is_dir)| ReadDirEntry {
+                        name: name.clone(),
+                        is_dir: *is_dir,
+                    })
                     .collect();
                 let done = (start as usize + page.len()) >= entries.len();
-                let mut os = OStream::with_capacity(256);
-                os.push_u32(page.len() as u32);
-                for (name, is_dir) in &page {
-                    os.push_str(name).push_bool(*is_dir);
+                ReadDirReply {
+                    entries: page,
+                    done,
                 }
-                os.push_bool(done);
-                os.into_bytes()
+                .to_bytes()
             });
             let n = match &result {
                 Ok(bytes) => bytes.len() as u64 / 8,
@@ -397,10 +399,10 @@ fn handle_meta(state: &Rc<RefCell<State>>, ident: u64, req: MetaRequest) -> (Met
     }
 }
 
-fn reply_of(result: Result<Vec<u8>>) -> MetaReply {
+fn reply_of(result: Result<Vec<u8>>) -> SyscallReply {
     match result {
-        Ok(data) => MetaReply::ok_with(data),
-        Err(e) => MetaReply::err(e.code()),
+        Ok(data) => SyscallReply::ok_with(data),
+        Err(e) => SyscallReply::err(e.code()),
     }
 }
 
@@ -445,9 +447,8 @@ impl Handler for M3FsHandler {
         if !obtain || cap_count < 1 {
             return Err(Error::new(Code::NotSup).with_msg("m3fs only hands out capabilities"));
         }
-        let mut is = IStream::new(args);
-        match is.pop_u8()? {
-            OBTAIN_META_GATE => {
+        match Obtain::from_bytes(args)? {
+            Obtain::MetaGate => {
                 let sel = env.alloc_sel();
                 env.syscall(Syscall::CreateSGate {
                     dst: sel,
@@ -458,8 +459,7 @@ impl Handler for M3FsHandler {
                 .await?;
                 Ok((vec![sel], Vec::new()))
             }
-            OBTAIN_LOCATE => {
-                let la = LocateArgs::from_stream(&mut is)?;
+            Obtain::Locate(la) => {
                 let mut cost = fscosts::LOCATE;
                 // Resolve the extent under the lock, then perform the
                 // capability syscall without holding it.
@@ -518,7 +518,6 @@ impl Handler for M3FsHandler {
                 };
                 Ok((vec![sel], reply.to_bytes()))
             }
-            _ => Err(Error::new(Code::InvArgs).with_msg("unknown obtain tag")),
         }
     }
 

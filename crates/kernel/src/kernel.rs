@@ -6,7 +6,6 @@ use std::rc::Rc;
 
 use m3_base::cfg::SPM_DATA_SIZE;
 use m3_base::error::{Code, Error, Result};
-use m3_base::marshal::OStream;
 use m3_base::{Cycles, EpId, PeId, Perm, SelId, VpeId};
 use m3_dtu::{Dtu, EpConfig, KernelToken, Message};
 use m3_platform::{PeType, Platform};
@@ -23,8 +22,8 @@ use crate::ktk::{self, CapDesc, KtkMsg, KtkReply};
 use crate::mem::MemAlloc;
 use crate::pemng::PeMng;
 use crate::protocol::{
-    std_eps, PeRequest, ServiceReply, ServiceRequest, Syscall, SyscallReply, SYSC_MSG_SIZE,
-    SYSC_SLOTS,
+    std_eps, AllocMemReply, CreateVpeReply, PageFaultReply, PeRequest, ServiceReply,
+    ServiceRequest, Syscall, SyscallReply, VpeWaitReply, SYSC_MSG_SIZE, SYSC_SLOTS,
 };
 use crate::service::{ServObj, ServiceRegistry, SessObj};
 use crate::vpe::{VpeObj, VpeState};
@@ -785,9 +784,7 @@ impl Kernel {
             return Err(e);
         }
         st.tree.insert_root((caller, dst));
-        let mut os = OStream::new();
-        os.push_u64(offset);
-        Ok(os.into_bytes())
+        Ok(AllocMemReply { offset }.to_bytes())
     }
 
     async fn sys_derive_mem(
@@ -933,9 +930,7 @@ impl Kernel {
         }
         // Charge the remote EP configuration packets.
         self.charge_ep_config(pe).await;
-        let mut os = OStream::new();
-        os.push_u32(id.raw()).push_u32(pe.raw());
-        Ok(os.into_bytes())
+        Ok(CreateVpeReply { vpe: id, pe }.to_bytes())
     }
 
     async fn sys_vpe_start(&self, caller: VpeId, vpe: SelId) -> Result<Vec<u8>> {
@@ -1001,11 +996,7 @@ impl Kernel {
                     .await
                     .and_then(KtkReply::into_result);
                 return match reply {
-                    Ok(r) => {
-                        let mut os = OStream::new();
-                        os.push_i64(r.a as i64);
-                        SyscallReply::ok_with(os.into_bytes())
-                    }
+                    Ok(r) => SyscallReply::ok_with(VpeWaitReply { code: r.a as i64 }.to_bytes()),
                     Err(e) => SyscallReply::err(e.code()),
                 };
             }
@@ -1017,9 +1008,7 @@ impl Kernel {
                 (v.exit_code(), v.exited.clone())
             };
             if let Some(code) = code {
-                let mut os = OStream::new();
-                os.push_i64(code);
-                return SyscallReply::ok_with(os.into_bytes());
+                return SyscallReply::ok_with(VpeWaitReply { code }.to_bytes());
             }
             exited.wait().await;
         }
@@ -1780,9 +1769,10 @@ impl Kernel {
         let mut st = self.state.borrow_mut();
         Self::table(&mut st, caller)?.insert(dst, Capability::new(KObject::MGate(mgate)))?;
         st.tree.insert_root((caller, dst));
-        let mut os = OStream::new();
-        os.push_u64(page * PAGE_SIZE);
-        Ok(os.into_bytes())
+        Ok(PageFaultReply {
+            page_base: page * PAGE_SIZE,
+        }
+        .to_bytes())
     }
 
     /// Removes a mapping: frees its frame (if resident) and swap slot (if
@@ -2545,9 +2535,8 @@ impl Kernel {
                         return Err(e);
                     }
                     self.sim.stats().incr("kernel.remote_placements");
-                    let mut os = OStream::new();
-                    os.push_u32(vpe_raw).push_u32(pe.raw());
-                    return Ok(os.into_bytes());
+                    let vpe = VpeId::new(vpe_raw);
+                    return Ok(CreateVpeReply { vpe, pe }.to_bytes());
                 }
                 // The peer's advertised load was stale; try the next one.
                 Err(e) if e.code() == Code::NoFreePe => {}
@@ -3331,12 +3320,10 @@ mod tests {
             )
             .await;
             assert_eq!(r.error, None);
-            let mut is = m3_base::marshal::IStream::new(&r.data);
-            let _vpe = is.pop_u32().unwrap();
-            is.pop_u32().unwrap()
+            CreateVpeReply::from_bytes(&r.data).unwrap().pe
         });
         sim.run();
-        let child_pe = PeId::new(h.try_take().unwrap());
+        let child_pe = h.try_take().unwrap();
         assert_eq!(kernel.free_pes(), free_before - 1);
         // The child can immediately issue syscalls over its new channel.
         let sim2 = platform.sim().clone();
@@ -3366,9 +3353,7 @@ mod tests {
                 },
             )
             .await;
-            let mut is = m3_base::marshal::IStream::new(&r.data);
-            let _ = is.pop_u32().unwrap();
-            let child_pe = PeId::new(is.pop_u32().unwrap());
+            let child_pe = CreateVpeReply::from_bytes(&r.data).unwrap().pe;
             syscall(&dtu, Syscall::VpeStart { vpe: SelId::new(1) }).await;
 
             // The child runs, then exits with code 42.
@@ -3386,8 +3371,7 @@ mod tests {
             });
 
             let r = syscall(&dtu, Syscall::VpeWait { vpe: SelId::new(1) }).await;
-            let mut is = m3_base::marshal::IStream::new(&r.data);
-            is.pop_i64().unwrap()
+            VpeWaitReply::from_bytes(&r.data).unwrap().code
         });
         sim.run();
         assert_eq!(h.try_take().unwrap(), 42);
@@ -3475,9 +3459,7 @@ mod tests {
                 },
             )
             .await;
-            let mut is = m3_base::marshal::IStream::new(&r.data);
-            let _ = is.pop_u32().unwrap();
-            let sender_pe = PeId::new(is.pop_u32().unwrap());
+            let sender_pe = CreateVpeReply::from_bytes(&r.data).unwrap().pe;
             syscall(
                 &dtu,
                 Syscall::Exchange {

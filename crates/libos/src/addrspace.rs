@@ -24,9 +24,8 @@
 use std::collections::VecDeque;
 
 use m3_base::error::{Code, Error, Result};
-use m3_base::marshal::IStream;
 use m3_base::Perm;
-use m3_kernel::protocol::Syscall;
+use m3_kernel::protocol::{PageFaultReply, Syscall};
 use m3_kernel::PAGE_SIZE;
 
 use crate::env::Env;
@@ -124,8 +123,7 @@ impl AddrSpace {
             .env
             .syscall(Syscall::PageFault { dst, virt, access })
             .await?;
-        let mut is = IStream::new(&data);
-        let _page_base = is.pop_u64()?;
+        PageFaultReply::from_bytes(&data)?;
         self.faults += 1;
         if self.tlb.len() == TLB_ENTRIES {
             self.tlb.pop_front(); // capability handle dropped, like a TLB evict

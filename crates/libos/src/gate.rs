@@ -15,10 +15,9 @@ use std::rc::Rc;
 
 use m3_base::error::{Code, Error, Result};
 use m3_base::ids::Label;
-use m3_base::marshal::IStream;
 use m3_base::{Perm, SelId};
 use m3_dtu::Message;
-use m3_kernel::protocol::Syscall;
+use m3_kernel::protocol::{AllocMemReply, Syscall};
 
 use crate::env::Env;
 use crate::epmux::EpCell;
@@ -327,8 +326,7 @@ impl MemGate {
                 perm,
             })
             .await?;
-        let mut is = IStream::new(&data);
-        let _global_offset = is.pop_u64()?;
+        AllocMemReply::from_bytes(&data)?;
         Ok(MemGate {
             env: env.clone(),
             sel,

@@ -11,9 +11,8 @@ use std::fmt;
 use std::future::Future;
 
 use m3_base::error::Result;
-use m3_base::marshal::IStream;
 use m3_base::{EpId, PeId, Perm, SelId, VpeId};
-use m3_kernel::protocol::{PeRequest, Syscall};
+use m3_kernel::protocol::{CreateVpeReply, PeRequest, Syscall, VpeWaitReply};
 use m3_kernel::VpeBootInfo;
 
 use crate::costs;
@@ -57,15 +56,13 @@ impl Vpe {
                 name: name.to_string(),
             })
             .await?;
-        let mut is = IStream::new(&data);
-        let id = VpeId::new(is.pop_u32()?);
-        let pe = PeId::new(is.pop_u32()?);
+        let placed = CreateVpeReply::from_bytes(&data)?;
         Ok(Vpe {
             env: env.clone(),
             sel,
             mem: MemGate::bind(env, mem_sel),
-            id,
-            pe,
+            id: placed.vpe,
+            pe: placed.pe,
             name: name.to_string(),
             next_child_sel: Cell::new(1),
         })
@@ -254,8 +251,7 @@ impl Vpe {
     /// Propagates kernel errors.
     pub async fn wait(&self) -> Result<i64> {
         let data = self.env.syscall(Syscall::VpeWait { vpe: self.sel }).await?;
-        let mut is = IStream::new(&data);
-        is.pop_i64()
+        Ok(VpeWaitReply::from_bytes(&data)?.code)
     }
 
     /// Revokes the VPE capability; the kernel resets the PE, "making it
