@@ -63,6 +63,7 @@ fn run_suite() -> (Vec<FigureRun>, f64) {
     let mut total_ms = 0.0;
     for (name, run) in figure_suite() {
         exec::take_job_timings();
+        gauges::reset_peaks();
         let before = gauges::snapshot();
         #[expect(
             clippy::disallowed_types,

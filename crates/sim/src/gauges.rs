@@ -5,8 +5,9 @@
 //! run/settle call and when the simulation is dropped (daemon tasks keep
 //! many `Sim`s alive through reference cycles, so drop alone would miss
 //! them). The perf harness snapshots the globals before and after a figure
-//! to attribute executor work to it; the atomics make that safe even when
-//! scenarios run on worker threads.
+//! to attribute executor work to it, and resets the peaks before each
+//! figure so they describe that figure alone; the atomics make that safe
+//! even when scenarios run on worker threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -38,8 +39,8 @@ pub struct Gauges {
 
 impl Gauges {
     /// Component-wise difference against an earlier snapshot. Totals
-    /// subtract; peaks are already per-`Sim` maxima, so the later value is
-    /// kept as-is.
+    /// subtract; peaks are maxima over every `Sim` merged since the last
+    /// [`reset_peaks`], so the later value is kept as-is.
     #[must_use]
     pub fn since(&self, earlier: &Gauges) -> Gauges {
         Gauges {
@@ -61,6 +62,14 @@ pub(crate) fn merge(g: Gauges) {
     TIMERS_DEDUPED.fetch_add(g.timers_deduped, Ordering::Relaxed);
     PEAK_LIVE_TASKS.fetch_max(g.peak_live_tasks, Ordering::Relaxed);
     PEAK_PENDING_TIMERS.fetch_max(g.peak_pending_timers, Ordering::Relaxed);
+}
+
+/// Clears the process-wide peaks, so the next snapshot's peaks cover only
+/// the simulations merged from now on. Totals are left alone: they are
+/// attributed by differencing two snapshots.
+pub fn reset_peaks() {
+    PEAK_LIVE_TASKS.store(0, Ordering::Relaxed);
+    PEAK_PENDING_TIMERS.store(0, Ordering::Relaxed);
 }
 
 /// Reads the current process-wide gauge values.
