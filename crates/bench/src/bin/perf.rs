@@ -1,7 +1,8 @@
-//! Host wall-clock perf harness for the fig3–fig9 suite.
+//! Host wall-clock perf harness for every experiment.
 //!
-//! Runs every figure end-to-end, timing each one and each of its scenarios
-//! (one independent `Sim` per scenario), collects the executor gauges from
+//! Runs the full variant of each entry of [`m3_bench::EXPERIMENTS`]
+//! end-to-end, timing each one and each of its scenarios (one independent
+//! `Sim` per scenario), collects the executor gauges from
 //! `m3_sim::gauges`, and writes `BENCH_<label>.json` at the repo root so the
 //! host-performance trajectory is recorded alongside the cycle-accurate
 //! results. Simulated cycle counts are untouched — this measures only how
@@ -9,10 +10,9 @@
 //!
 //! Flags:
 //! - `--label <name>`: output file suffix (default `local`).
-//! - `--serial`: run scenarios on one thread (same results, no overlap).
-//! - `--sim-workers <N>`: pin the scenario worker count (also settable via
-//!   the `M3_SIM_WORKERS` environment variable).
-//! - `--compare-serial`: run the suite serially first, then in parallel,
+//! - `--sim-workers <N>`: pin the worker count (also settable via the
+//!   `M3_SIM_WORKERS` environment variable); `1` runs everything serially.
+//! - `--compare-serial`: run the suite on 1 worker first, then in parallel,
 //!   and report per-figure and total speedups. The serial pass seeds the
 //!   per-scenario cost registry, so the parallel pass claims the longest
 //!   scenarios first. Both passes land in the JSON as serial + parallel
@@ -29,7 +29,7 @@ use std::process::ExitCode;
 )]
 use std::time::Instant;
 
-use m3_bench::exec;
+use m3_bench::{exec, EXPERIMENTS};
 use m3_sim::gauges::{self, Gauges};
 
 /// CI fails when the suite takes more than this multiple of the baseline.
@@ -42,26 +42,10 @@ struct FigureRun {
     gauges: Gauges,
 }
 
-/// Renders one figure; the table itself is discarded, only time matters.
-type FigureFn = fn() -> String;
-
-fn figure_suite() -> Vec<(&'static str, FigureFn)> {
-    vec![
-        ("fig3", || m3_bench::fig3::run().render()),
-        ("fig4", || m3_bench::fig4::run().render()),
-        ("fig5", || m3_bench::fig5::run().render()),
-        ("fig6", || m3_bench::fig6::run().render()),
-        ("fig7", || m3_bench::fig7::run().render()),
-        ("fig8", || m3_bench::fig8::run().render()),
-        ("fig9", || m3_bench::fig9::run().render()),
-        ("fig11", || m3_bench::fig11::run().render()),
-    ]
-}
-
 fn run_suite() -> (Vec<FigureRun>, f64) {
     let mut runs = Vec::new();
     let mut total_ms = 0.0;
-    for (name, run) in figure_suite() {
+    for e in EXPERIMENTS {
         exec::take_job_timings();
         gauges::reset_peaks();
         let before = gauges::snapshot();
@@ -70,12 +54,12 @@ fn run_suite() -> (Vec<FigureRun>, f64) {
             reason = "host wall clock; simulated cycles are produced elsewhere"
         )]
         let start = Instant::now();
-        let _table = run();
+        let _table = (e.run)();
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let delta = gauges::snapshot().since(&before);
         total_ms += wall_ms;
         runs.push(FigureRun {
-            name,
+            name: e.name,
             wall_ms,
             scenario_ms: exec::take_job_timings(),
             gauges: delta,
@@ -86,7 +70,6 @@ fn run_suite() -> (Vec<FigureRun>, f64) {
 
 fn to_json(
     label: &str,
-    serial: bool,
     runs: &[FigureRun],
     total_ms: f64,
     serial_pass: Option<(&[FigureRun], f64)>,
@@ -94,8 +77,9 @@ fn to_json(
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"label\": \"{label}\",");
-    let _ = writeln!(out, "  \"serial\": {serial},");
-    let _ = writeln!(out, "  \"workers\": {},", exec::workers_for(usize::MAX));
+    let workers = exec::workers_for(usize::MAX);
+    let _ = writeln!(out, "  \"serial\": {},", workers == 1);
+    let _ = writeln!(out, "  \"workers\": {workers},");
     let _ = writeln!(out, "  \"total_ms\": {total_ms:.3},");
     if let Some((_, serial_ms)) = serial_pass {
         let _ = writeln!(out, "  \"serial_total_ms\": {serial_ms:.3},");
@@ -157,7 +141,7 @@ fn main() -> ExitCode {
     let mut label = String::from("local");
     let mut baseline: Option<String> = None;
     let mut compare_serial = false;
-    let mut forced_serial = false;
+    let mut workers = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -169,12 +153,8 @@ fn main() -> ExitCode {
                 Some(p) => baseline = Some(p),
                 None => return usage("--baseline needs a path"),
             },
-            "--serial" => {
-                exec::set_serial(true);
-                forced_serial = true;
-            }
             "--sim-workers" => match args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0) {
-                Some(n) => exec::set_sim_workers(Some(n)),
+                Some(n) => workers = Some(n),
                 None => return usage("--sim-workers needs a positive count"),
             },
             "--compare-serial" => compare_serial = true,
@@ -184,22 +164,18 @@ fn main() -> ExitCode {
 
     // The serial pass runs first so its per-scenario costs seed the
     // longest-first claim order of the parallel pass.
-    let serial_pass = if compare_serial && !forced_serial {
-        exec::set_serial(true);
-        let pass = run_suite();
-        exec::set_serial(false);
-        Some(pass)
-    } else {
-        None
-    };
+    let serial_pass = compare_serial.then(|| {
+        exec::set_sim_workers(Some(1));
+        run_suite()
+    });
 
-    let serial = forced_serial || exec::workers_for(usize::MAX) == 1;
+    exec::set_sim_workers(workers);
     let (runs, total_ms) = run_suite();
 
-    println!("== perf: fig3-fig9 host wall clock ==");
+    println!("== perf: host wall clock per experiment ==");
     for (i, run) in runs.iter().enumerate() {
         println!(
-            "{:>5}  {:>10.1} ms  {:>3} scenarios  {:>8} tasks  {:>9} polls  peak {} live / {} timers",
+            "{:>9}  {:>10.1} ms  {:>3} scenarios  {:>8} tasks  {:>9} polls  peak {} live / {} timers",
             run.name,
             run.wall_ms,
             run.scenario_ms.len(),
@@ -210,13 +186,13 @@ fn main() -> ExitCode {
         );
         if let Some((serial_runs, _)) = &serial_pass {
             println!(
-                "       serial {:>7.1} ms -> speedup {:.2}x",
+                "           serial {:>7.1} ms -> speedup {:.2}x",
                 serial_runs[i].wall_ms,
                 serial_runs[i].wall_ms / run.wall_ms
             );
         }
     }
-    println!("total  {total_ms:>10.1} ms");
+    println!("total      {total_ms:>10.1} ms");
     if let Some((_, serial_ms)) = &serial_pass {
         println!(
             "serial {serial_ms:>10.1} ms -> parallel speedup {:.2}x ({} workers)",
@@ -228,7 +204,6 @@ fn main() -> ExitCode {
     let path = repo_root().join(format!("BENCH_{label}.json"));
     let json = to_json(
         &label,
-        serial,
         &runs,
         total_ms,
         serial_pass.as_ref().map(|(r, ms)| (r.as_slice(), *ms)),
@@ -263,6 +238,8 @@ fn main() -> ExitCode {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("perf: {msg}");
-    eprintln!("usage: perf [--label <name>] [--serial] [--sim-workers N] [--compare-serial] [--baseline <json>]");
+    eprintln!(
+        "usage: perf [--label <name>] [--sim-workers N] [--compare-serial] [--baseline <json>]"
+    );
     ExitCode::FAILURE
 }

@@ -8,14 +8,12 @@
 //! matter which worker finished first. Simulated cycle counts cannot change:
 //! threading only overlaps *host* time.
 //!
-//! Serial escape hatch: [`set_serial`] (the binaries' `--serial` flag) or
-//! the `M3_BENCH_SERIAL` environment variable (any value but `0`).
-//!
 //! Worker count: [`set_sim_workers`] (the binaries' `--sim-workers N`
 //! flag) or the `M3_SIM_WORKERS` environment variable pin the thread
-//! count; otherwise every available core is used. The same knob feeds the
-//! PDES engine's worker count in `pdes_bench`, so one flag controls both
-//! levels of host parallelism.
+//! count; otherwise every available core is used. One worker runs every
+//! job on the calling thread, which is the serial reference. The same knob
+//! feeds the PDES engine's worker count in fig10 and the PDES ring, so one
+//! flag controls both levels of host parallelism.
 //!
 //! Claim order: when a figure runs repeatedly in one process (the `perf`
 //! harness, determinism suites), [`run_labeled_jobs`] hands out the
@@ -25,7 +23,7 @@
 //! output is byte-identical to a serial run either way.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 #[expect(
     clippy::disallowed_types,
@@ -35,8 +33,6 @@ use std::time::Instant;
 
 /// One scenario measurement, boxed so figures can mix closures.
 pub type Job<T> = Box<dyn FnOnce() -> T + Send>;
-
-static FORCE_SERIAL: AtomicBool = AtomicBool::new(false);
 
 /// Worker-count override; `0` means "not set" (use every core).
 static SIM_WORKERS: AtomicUsize = AtomicUsize::new(0);
@@ -58,27 +54,15 @@ fn record_timings(ms: impl IntoIterator<Item = f64>) {
     JOB_TIMINGS.lock().expect("timings lock").extend(ms);
 }
 
-/// Forces all subsequent [`run_jobs`] calls onto the calling thread (the
-/// `--serial` flag of the figure binaries).
-pub fn set_serial(serial: bool) {
-    FORCE_SERIAL.store(serial, Ordering::Relaxed);
-}
-
-fn serial_requested() -> bool {
-    FORCE_SERIAL.load(Ordering::Relaxed)
-        || std::env::var_os("M3_BENCH_SERIAL").is_some_and(|v| v != *"0")
-}
-
-/// Pins the worker count (the binaries' `--sim-workers N` flag); `None`
-/// reverts to using every available core.
+/// Pins the worker count (the binaries' `--sim-workers N` flag; `1` is the
+/// serial reference); `None` reverts to using every available core.
 pub fn set_sim_workers(workers: Option<usize>) {
     SIM_WORKERS.store(workers.unwrap_or(0), Ordering::Relaxed);
 }
 
 /// The pinned worker count, if any: [`set_sim_workers`] wins, then the
-/// `M3_SIM_WORKERS` environment variable. Also consulted by `pdes_bench`
-/// for the PDES engine's island workers.
-pub fn sim_workers() -> Option<usize> {
+/// `M3_SIM_WORKERS` environment variable.
+fn sim_workers() -> Option<usize> {
     match SIM_WORKERS.load(Ordering::Relaxed) {
         0 => std::env::var("M3_SIM_WORKERS")
             .ok()
@@ -124,9 +108,9 @@ fn record_prior(label: &str, ms: &[f64]) {
 
 /// Runs every job and returns the results in job order.
 ///
-/// Jobs execute concurrently across up to [`workers_for`] threads unless a
-/// serial run was requested; each job runs start-to-finish on one thread
-/// (the simulators are single-threaded by design).
+/// Jobs execute concurrently across up to [`workers_for`] threads; one
+/// worker runs them on the calling thread. Each job runs start-to-finish
+/// on one thread (the simulators are single-threaded by design).
 ///
 /// # Panics
 ///
@@ -145,7 +129,7 @@ pub fn run_jobs<T: Send>(jobs: Vec<Job<T>>) -> Vec<T> {
 /// Propagates a panic from any job, like the serial loop would.
 pub fn run_labeled_jobs<T: Send>(label: &str, jobs: Vec<Job<T>>) -> Vec<T> {
     let n = jobs.len();
-    if n <= 1 || serial_requested() || workers_for(n) == 1 {
+    if workers_for(n) == 1 {
         let mut ms = Vec::with_capacity(n);
         let out: Vec<T> = jobs
             .into_iter()
@@ -234,12 +218,12 @@ mod tests {
 
     #[test]
     fn serial_flag_still_runs_everything() {
-        set_serial(true);
+        set_sim_workers(Some(1));
         let jobs: Vec<Job<u32>> = (0..8)
             .map(|i| -> Job<u32> { Box::new(move || i * i) })
             .collect();
         let out = run_jobs(jobs);
-        set_serial(false);
+        set_sim_workers(None);
         assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49]);
     }
 

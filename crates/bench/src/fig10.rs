@@ -22,6 +22,8 @@
 //! must be byte-identical for every `--sim-workers` count (asserted by
 //! `tests/pdes.rs`).
 
+use std::fmt::Write as _;
+
 use m3::{System, SystemConfig};
 use m3_base::error::Code;
 use m3_base::{Cycles, PeId};
@@ -30,6 +32,9 @@ use m3_libos::Vpe;
 use m3_noc::{IslandMap, NocConfig, Topology};
 use m3_platform::PeType;
 use m3_sim::pdes::{self, IslandBuilder, IslandFinish, PdesConfig};
+
+use crate::exec;
+use crate::experiment::Output;
 
 /// Placer programs per shard (enough concurrency to keep one kernel busy).
 pub const PLACERS: usize = 4;
@@ -101,8 +106,6 @@ pub struct Fig10Point {
     pub ops_per_kcycle: f64,
     /// Deterministic digest (identical for every worker count).
     pub digest: String,
-    /// Host wall-clock milliseconds.
-    pub wall_ms: f64,
 }
 
 fn island_builder(id: u32, shards: u32, pes_per_shard: usize) -> IslandBuilder {
@@ -237,13 +240,7 @@ pub fn run_point(pes: u32, shards: u32, workers: usize) -> Fig10Point {
     let builders: Vec<IslandBuilder> = (0..shards)
         .map(|i| island_builder(i, shards, per))
         .collect();
-    #[expect(
-        clippy::disallowed_types,
-        reason = "host wall clock; simulated results are worker-count invariant"
-    )]
-    let start = std::time::Instant::now();
     let report = pdes::run(&cfg, builders);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let ops: u64 = report.outputs.iter().map(|l| field(l, "ops")).sum();
     let serve: u64 = report.outputs.iter().map(|l| field(l, "serve")).sum();
     let xplace: u64 = report.outputs.iter().map(|l| field(l, "xplace")).sum();
@@ -264,16 +261,45 @@ pub fn run_point(pes: u32, shards: u32, workers: usize) -> Fig10Point {
         end,
         ops_per_kcycle: ops as f64 * 1e3 / end.as_u64().max(1) as f64,
         digest,
-        wall_ms,
     }
 }
 
-/// Runs the full sweep for one PE count.
-pub fn run_sweep(pes: u32, workers: usize) -> Vec<Fig10Point> {
-    shard_counts_for(pes)
-        .into_iter()
-        .map(|s| run_point(pes, s, workers.min(s as usize)))
-        .collect()
+/// Renders the sweep at each of `pe_counts`: one table per PE count, each
+/// shard count on [`exec::workers_for`] PDES workers, followed by its
+/// digest line. The aggregate cycles are the summed end clocks.
+pub fn render(pe_counts: &[u32]) -> Output {
+    let mut table = String::new();
+    let mut cycles = 0;
+    for &pes in pe_counts {
+        let _ = writeln!(
+            table,
+            "== fig10: kernel throughput vs shards at {pes} PEs =="
+        );
+        let _ = writeln!(
+            table,
+            "  {:<7} {:>10} {:>12} {:>9} {:>8} {:>8} {:>12}",
+            "shards", "kernel-ops", "ops/kcycle", "scaling", "serve", "xplace", "end-cycles"
+        );
+        let mut baseline = None;
+        for shards in shard_counts_for(pes) {
+            let p = run_point(pes, shards, exec::workers_for(shards as usize));
+            let base = *baseline.get_or_insert(p.ops_per_kcycle);
+            let _ = writeln!(
+                table,
+                "  {:<7} {:>10} {:>12.2} {:>8.2}x {:>8} {:>8} {:>12}",
+                p.shards,
+                p.ops,
+                p.ops_per_kcycle,
+                p.ops_per_kcycle / base,
+                p.serve,
+                p.xplace,
+                p.end.as_u64(),
+            );
+            let _ = writeln!(table, "  digest[{shards}] {}", p.digest);
+            cycles += p.end.as_u64();
+        }
+    }
+    Output { table, cycles }
 }
 
 #[cfg(test)]

@@ -82,11 +82,6 @@ impl Fig9 {
         out.push_str(&verdict("Lx", &self.lx_capacity, self.lx_knee));
         out
     }
-
-    /// Prints the rendered figure to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 /// Largest swept point whose p99 meets the SLO.

@@ -13,6 +13,7 @@
 //! worker count (asserted by `tests/pdes.rs`).
 
 use std::cell::Cell;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use m3::{System, SystemConfig};
@@ -24,6 +25,9 @@ use m3_libos::vfs;
 use m3_noc::{IslandMap, NocConfig, Topology};
 use m3_sim::pdes::{self, IslandBuilder, IslandFinish, PdesConfig, PdesReport};
 use m3_sim::Notify;
+
+use crate::exec;
+use crate::experiment::Output;
 
 /// Messages each island sends to its ring successor.
 pub const MSGS: u64 = 24;
@@ -55,8 +59,6 @@ pub struct PdesBenchRun {
     /// Deterministic digest of all simulated results; identical for every
     /// worker count.
     pub digest: String,
-    /// Host wall-clock milliseconds for the whole run.
-    pub wall_ms: f64,
 }
 
 /// The window width for `islands` ring nodes: the minimum cross-island
@@ -178,13 +180,7 @@ pub fn run(islands: u32, workers: usize) -> PdesBenchRun {
         workers,
     };
     let builders: Vec<IslandBuilder> = (0..islands).map(|i| island_builder(i, islands)).collect();
-    #[expect(
-        clippy::disallowed_types,
-        reason = "host wall clock; simulated results are worker-count invariant"
-    )]
-    let start = std::time::Instant::now();
     let report = pdes::run(&cfg, builders);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let digest = format!(
         "{}|windows={}|events={}|end={}",
         report.outputs.join(";"),
@@ -192,10 +188,50 @@ pub fn run(islands: u32, workers: usize) -> PdesBenchRun {
         report.events,
         report.end_time.as_u64(),
     );
-    PdesBenchRun {
-        report,
-        digest,
-        wall_ms,
+    PdesBenchRun { report, digest }
+}
+
+/// Renders the ring with `islands` islands on [`exec::workers_for`]
+/// workers: window and event counts, per-island residency and the digest.
+/// The aggregate cycles are the final clock.
+pub fn render(islands: u32) -> Output {
+    let run = run(islands, exec::workers_for(islands as usize));
+    let r = &run.report;
+    let mut table = String::new();
+    let _ = writeln!(
+        table,
+        "== pdes_ring: {islands} islands, lookahead {} cycles ==",
+        lookahead(islands).as_u64()
+    );
+    let _ = writeln!(
+        table,
+        "windows {}  events {}  abandoned {}  end {} cycles",
+        r.windows,
+        r.events,
+        r.abandoned,
+        r.end_time.as_u64(),
+    );
+    let _ = writeln!(
+        table,
+        "  {:<7} {:>12} {:>13} {:>10} {:>10} {:>12}",
+        "island", "busy-cycles", "barrier-wait", "events-in", "events-out", "final-now"
+    );
+    for (i, st) in r.islands.iter().enumerate() {
+        let _ = writeln!(
+            table,
+            "  {:<7} {:>12} {:>13} {:>10} {:>10} {:>12}",
+            i,
+            st.advanced.as_u64(),
+            st.barrier_wait.as_u64(),
+            st.events_in,
+            st.events_out,
+            st.final_now.as_u64()
+        );
+    }
+    let _ = writeln!(table, "digest {}", run.digest);
+    Output {
+        table,
+        cycles: r.end_time.as_u64(),
     }
 }
 

@@ -86,11 +86,6 @@ impl Figure {
         out
     }
 
-    /// Prints the rendered table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-
     /// Finds a bar by group and label (for assertions).
     ///
     /// # Panics
@@ -139,11 +134,6 @@ impl Series {
             let _ = writeln!(out);
         }
         out
-    }
-
-    /// Prints the rendered table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 
     /// Looks up a value by parameter and column name.

@@ -290,11 +290,11 @@ fn fig9_traced_serving_run_is_identical_across_runs() {
 fn fig9_sweep_is_byte_identical_serial_vs_parallel() {
     // The harness parallelises only across independent Sims; the assembled
     // figure — rows, quantiles, capacity verdicts — must not know or care.
-    // (The serial flag is process-global; run the parallel pass first.)
+    // (The worker count is process-global; run the parallel pass first.)
     let parallel = m3_bench::fig9::run_sweep(&[8, 24]).render();
-    m3_bench::exec::set_serial(true);
+    m3_bench::exec::set_sim_workers(Some(1));
     let serial = m3_bench::fig9::run_sweep(&[8, 24]).render();
-    m3_bench::exec::set_serial(false);
+    m3_bench::exec::set_sim_workers(None);
     assert_eq!(parallel, serial, "fig9 render depends on the harness mode");
 }
 

@@ -1,65 +1,34 @@
 //! PDES determinism: the parallel engine must be invisible in the results.
 //!
 //! Two layers are exercised. The scenario harness (`m3_bench::exec`) runs
-//! independent Sims on worker threads; every figure render must be
+//! independent Sims on worker threads; every experiment render must be
 //! byte-identical under any `M3_SIM_WORKERS` setting. The PDES engine
 //! (`m3_sim::pdes`) splits ONE simulation into islands; its digests must
 //! be identical for every worker count, and one cross-island-heavy
 //! scenario is pinned to golden values so silent drift in the window
 //! protocol (lookahead, merge order, termination) fails loudly.
 
-use m3_bench::{exec, pdes_bench};
+use m3_bench::{exec, pdes_bench, EXPERIMENTS};
 
-/// Renders one figure serially, then under 1, 2, and 4 sim workers, and
-/// requires all four renders to be byte-identical.
-fn assert_figure_invariant(name: &str, render: fn() -> String) {
-    exec::set_serial(true);
-    let serial = render();
-    exec::set_serial(false);
-    for workers in [1usize, 2, 4] {
-        exec::set_sim_workers(Some(workers));
-        let out = render();
+#[test]
+fn every_experiment_is_invariant_under_sim_workers() {
+    // Each experiment's smoke variant where it has one, else its full run,
+    // rendered at 1 worker (the serial reference), then at 2 and 4.
+    for e in EXPERIMENTS {
+        let run = e.variant(true);
+        exec::set_sim_workers(Some(1));
+        let serial = run();
+        for workers in [2usize, 4] {
+            exec::set_sim_workers(Some(workers));
+            let out = run();
+            assert_eq!(
+                out, serial,
+                "{} render diverged under {workers} sim workers",
+                e.name
+            );
+        }
         exec::set_sim_workers(None);
-        assert_eq!(
-            out, serial,
-            "{name} render diverged under {workers} sim workers"
-        );
     }
-}
-
-#[test]
-fn fig3_is_invariant_under_sim_workers() {
-    assert_figure_invariant("fig3", || m3_bench::fig3::run().render());
-}
-
-#[test]
-fn fig4_is_invariant_under_sim_workers() {
-    assert_figure_invariant("fig4", || m3_bench::fig4::run().render());
-}
-
-#[test]
-fn fig5_is_invariant_under_sim_workers() {
-    assert_figure_invariant("fig5", || m3_bench::fig5::run().render());
-}
-
-#[test]
-fn fig6_is_invariant_under_sim_workers() {
-    assert_figure_invariant("fig6", || m3_bench::fig6::run().render());
-}
-
-#[test]
-fn fig7_is_invariant_under_sim_workers() {
-    assert_figure_invariant("fig7", || m3_bench::fig7::run().render());
-}
-
-#[test]
-fn fig8_is_invariant_under_sim_workers() {
-    assert_figure_invariant("fig8", || m3_bench::fig8::run().render());
-}
-
-#[test]
-fn fig9_is_invariant_under_sim_workers() {
-    assert_figure_invariant("fig9", || m3_bench::fig9::run_sweep(&[8, 24]).render());
 }
 
 #[test]
