@@ -2,7 +2,7 @@
 //! the harness can regenerate.
 //!
 //! The `m3-bench` driver, the `perf` harness and the worker-count identity
-//! test in `tests/pdes.rs` all iterate [`EXPERIMENTS`], so an entry added
+//! tests in `tests/pdes.rs` all draw on [`EXPERIMENTS`], so an entry added
 //! here is printed, timed and checked everywhere at once. Every run returns
 //! its rendered table plus the aggregate simulated cycles behind it; no
 //! render contains host time, so a render is byte-identical for every

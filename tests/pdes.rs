@@ -8,26 +8,81 @@
 //! scenario is pinned to golden values so silent drift in the window
 //! protocol (lookahead, merge order, termination) fails loudly.
 
-use m3_bench::{exec, pdes_bench, EXPERIMENTS};
+use m3_bench::{exec, pdes_bench, Experiment, EXPERIMENTS};
+
+/// Experiments with a named identity test of their own below; every other
+/// entry of [`EXPERIMENTS`] is covered by
+/// `remaining_experiments_are_invariant_under_sim_workers`.
+const NAMED: &[&str] = &["fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"];
+
+/// Renders one experiment's smoke variant where it has one, else its full
+/// run, at 1 worker (the serial reference), then at 2 and 4, and requires
+/// every render to be byte-identical.
+fn assert_experiment_invariant(e: &Experiment) {
+    let run = e.variant(true);
+    exec::set_sim_workers(Some(1));
+    let serial = run();
+    for workers in [2usize, 4] {
+        exec::set_sim_workers(Some(workers));
+        let out = run();
+        assert_eq!(
+            out, serial,
+            "{} render diverged under {workers} sim workers",
+            e.name
+        );
+    }
+    exec::set_sim_workers(None);
+}
+
+fn assert_named_invariant(name: &str) {
+    let e = EXPERIMENTS
+        .iter()
+        .find(|e| e.name == name)
+        .unwrap_or_else(|| panic!("no experiment named {name}"));
+    assert_experiment_invariant(e);
+}
 
 #[test]
-fn every_experiment_is_invariant_under_sim_workers() {
-    // Each experiment's smoke variant where it has one, else its full run,
-    // rendered at 1 worker (the serial reference), then at 2 and 4.
-    for e in EXPERIMENTS {
-        let run = e.variant(true);
-        exec::set_sim_workers(Some(1));
-        let serial = run();
-        for workers in [2usize, 4] {
-            exec::set_sim_workers(Some(workers));
-            let out = run();
-            assert_eq!(
-                out, serial,
-                "{} render diverged under {workers} sim workers",
-                e.name
-            );
-        }
-        exec::set_sim_workers(None);
+fn fig3_is_invariant_under_sim_workers() {
+    assert_named_invariant("fig3");
+}
+
+#[test]
+fn fig4_is_invariant_under_sim_workers() {
+    assert_named_invariant("fig4");
+}
+
+#[test]
+fn fig5_is_invariant_under_sim_workers() {
+    assert_named_invariant("fig5");
+}
+
+#[test]
+fn fig6_is_invariant_under_sim_workers() {
+    assert_named_invariant("fig6");
+}
+
+#[test]
+fn fig7_is_invariant_under_sim_workers() {
+    assert_named_invariant("fig7");
+}
+
+#[test]
+fn fig8_is_invariant_under_sim_workers() {
+    assert_named_invariant("fig8");
+}
+
+#[test]
+fn fig9_is_invariant_under_sim_workers() {
+    assert_named_invariant("fig9");
+}
+
+#[test]
+fn remaining_experiments_are_invariant_under_sim_workers() {
+    // Every entry without a named test above, so an experiment added to
+    // the table is checked without touching this file.
+    for e in EXPERIMENTS.iter().filter(|e| !NAMED.contains(&e.name)) {
+        assert_experiment_invariant(e);
     }
 }
 
